@@ -6,7 +6,7 @@ classical majority-vote baseline and the quantum-counting alternative,
 plus a CLI that reproduces the quantitative claims.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .oracle import BooleanOracle, evaluate, from_bits, from_hex, make_random_oracle, round_weight
 from .subspace import (

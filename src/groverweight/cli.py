@@ -172,6 +172,8 @@ def _mc_successes(oracle, k: int, trials: int, seed: int, threads: int) -> int:
 
 
 def _cmd_randomized(args, stdout) -> int:
+    if args.trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {args.trials}")
     size = 1 << args.n
     pair = decision.PromisePair.for_iterations(args.k, size)
     weights = [args.t] if args.t is not None else list(pair.weights())

@@ -202,10 +202,11 @@ def hypothesis_success_probability(plan: CountingPlan, index: int) -> float:
     hyp = plan.hypotheses[index]
     dist = phase_distribution(hyp.weight, plan.P)
     target = min(hyp.k, plan.P - hyp.k)
-    mass = 0.0
-    for f_tilde in range(plan.P):
-        if fold(f_tilde, plan.P) == target:
-            mass += float(dist[f_tilde])
+    # The register values that fold to target: target itself and, unless
+    # target = P/2, its mirror P - target (summed in ascending order).
+    mass = float(dist[target])
+    if target < plan.P / 2:
+        mass += float(dist[plan.P - target])
     return mass
 
 

@@ -43,6 +43,11 @@ def uniform_state(n: int) -> StateVector:
     return StateVector(n=n, amps=np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128))
 
 
+def _diffuse_in_place(amps: np.ndarray, theta: float) -> None:
+    # -(a - (1 - e^{i theta}) mean), written as shift - a
+    np.subtract((1.0 - np.exp(1j * theta)) * amps.mean(), amps, out=amps)
+
+
 def apply_oracle_phase(sv: StateVector, oracle: BooleanOracle, phi: float) -> StateVector:
     """Multiply amplitudes of solution states by e^{i*phi}.
 
@@ -57,17 +62,24 @@ def apply_oracle_phase(sv: StateVector, oracle: BooleanOracle, phi: float) -> St
 
 def apply_generalized_diffusion(sv: StateVector, theta: float) -> StateVector:
     """Apply -I_{psi0}(theta); theta = pi is the inversion about the mean."""
-    mean = sv.amps.mean()
-    return StateVector(n=sv.n, amps=-(sv.amps - (1.0 - np.exp(1j * theta)) * mean))
+    amps = sv.amps.copy()
+    _diffuse_in_place(amps, theta)
+    return StateVector(n=sv.n, amps=amps)
 
 
 def run_full_schedule(oracle: BooleanOracle, schedule) -> StateVector:
-    """Alternate oracle phase phi_i then diffusion theta_i from the uniform state."""
-    sv = uniform_state(oracle.n)
+    """Alternate oracle phase phi_i then diffusion theta_i from the uniform state.
+
+    Both operators update one amplitude buffer in place.  The solution
+    index is computed here, not taken from the oracle's cached `ones`, so
+    a run leaves no index array attached to the oracle.
+    """
+    amps = uniform_state(oracle.n).amps
+    ones = np.flatnonzero(oracle.bits)
     for theta, phi in schedule:
-        sv = apply_oracle_phase(sv, oracle, phi)
-        sv = apply_generalized_diffusion(sv, theta)
-    return sv
+        amps[ones] *= np.exp(1j * phi)
+        _diffuse_in_place(amps, theta)
+    return StateVector(n=oracle.n, amps=amps)
 
 
 def measure_distribution(sv: StateVector) -> np.ndarray:

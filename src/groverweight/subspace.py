@@ -15,7 +15,10 @@ the solution class).
 """
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +73,19 @@ class PhaseSchedule:
     """Ordered (theta, phi) phase pairs, one per generalized iteration.
 
     theta drives the diffusion operator -I_{psi0}(theta), phi the oracle
-    phase I_{sol}(phi); the standard Grover iteration is (pi, pi).
+    phase I_{sol}(phi); the standard Grover iteration is (pi, pi).  The
+    schedule is `prefix` standard iterations followed by the explicit
+    `steps`; the prefix is stored as a count because it rotates the plane
+    in closed form.  Length and iteration cover the whole schedule.
     """
 
     steps: tuple[tuple[float, float], ...]
+    prefix: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "prefix", operator.index(self.prefix))
+        if self.prefix < 0:
+            raise ParameterError("iteration count must be non-negative")
         steps = tuple((float(t), float(p)) for t, p in self.steps)
         for theta, phi in steps:
             if not (math.isfinite(theta) and math.isfinite(phi)):
@@ -83,25 +93,22 @@ class PhaseSchedule:
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self.prefix + len(self.steps)
 
     def __iter__(self):
-        return iter(self.steps)
+        return itertools.chain(itertools.repeat((math.pi, math.pi), self.prefix), self.steps)
 
     @classmethod
     def standard(cls, k: int) -> "PhaseSchedule":
         """k standard Grover iterations."""
-        if k < 0:
-            raise ParameterError("iteration count must be non-negative")
-        return cls(((math.pi, math.pi),) * k)
+        return cls((), prefix=k)
 
     @classmethod
     def sure_success(cls, k: int, theta1: float, theta2: float) -> "PhaseSchedule":
         """k-2 standard iterations followed by (-theta1, pi), (-theta2, pi)."""
         if k < 2:
             raise ParameterError("sure-success schedules need k >= 2")
-        steps = ((math.pi, math.pi),) * (k - 2)
-        return cls(steps + ((-theta1, math.pi), (-theta2, math.pi)))
+        return cls(((-theta1, math.pi), (-theta2, math.pi)), prefix=k - 2)
 
 
 def hilbert_angle(u: float) -> float:
@@ -111,32 +118,36 @@ def hilbert_angle(u: float) -> float:
     return math.asin(math.sqrt(u))
 
 
-def step_matrix(u: float, theta: float, phi: float) -> np.ndarray:
-    """2x2 matrix of -I_{psi0}(theta) . I_{sol}(phi) in the (ns, sol) basis.
+def _step(c: float, s: float, c_ns: complex, c_sol: complex, theta: float, phi: float):
+    """One -I_{psi0}(theta) . I_{sol}(phi) on the pair (c_ns, c_sol).
 
-    The uniform state has coordinates (cos beta_H, sin beta_H).  At
-    (pi, pi) this is the plain rotation by 2*beta_H (one Grover iteration);
-    at (0, 0) it collapses to -identity.
+    (c, s) = (cos beta_H, sin beta_H) are the uniform state's coordinates.
+    At (pi, pi) this is the plain rotation by 2*beta_H (one Grover
+    iteration); at (0, 0) it collapses to -identity.
     """
-    beta = hilbert_angle(u)
-    c, s = math.cos(beta), math.sin(beta)
-    proj = np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
-    i_psi0 = np.eye(2, dtype=complex) - (1.0 - np.exp(1j * theta)) * proj
-    i_sol = np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
-    return -(i_psi0 @ i_sol)
+    c_sol = c_sol * cmath.exp(1j * phi)
+    overlap = (1.0 - cmath.exp(1j * theta)) * (c * c_ns + s * c_sol)
+    return overlap * c - c_ns, overlap * s - c_sol
 
 
 def evolve(u: float, steps) -> np.ndarray:
     """Run a phase schedule from the uniform state at weight fraction u.
 
     Low-level path shared by integer-weight and real-fraction callers;
-    returns the final (c_ns, c_sol) pair.
+    returns the final (c_ns, c_sol) pair.  A PhaseSchedule's standard
+    prefix of m iterations is applied in closed form, as the rotation to
+    (cos((2m+1) beta_H), sin((2m+1) beta_H)), so the cost is O(1) in m;
+    the explicit steps (or any iterable of (theta, phi) pairs) follow one
+    scalar update each.
     """
     beta = hilbert_angle(u)
-    state = np.array([math.cos(beta), math.sin(beta)], dtype=complex)
-    for theta, phi in steps:
-        state = step_matrix(u, theta, phi) @ state
-    return state
+    prefix, tail = (steps.prefix, steps.steps) if isinstance(steps, PhaseSchedule) else (0, steps)
+    angle = (2 * prefix + 1) * beta
+    c_ns, c_sol = complex(math.cos(angle)), complex(math.sin(angle))
+    c, s = math.cos(beta), math.sin(beta)
+    for theta, phi in tail:
+        c_ns, c_sol = _step(c, s, c_ns, c_sol, theta, phi)
+    return np.array([c_ns, c_sol], dtype=complex)
 
 
 def initial_state(t: int, size: int) -> SubspaceState:
@@ -157,8 +168,9 @@ def initial_state(t: int, size: int) -> SubspaceState:
 
 def apply_generalized_step(state: SubspaceState, theta: float, phi: float) -> SubspaceState:
     """One -I_{psi0}(theta) . I_{sol}(phi) application, exactly unitary."""
-    vec = step_matrix(state.u, theta, phi) @ state.vector()
-    return SubspaceState(c_ns=vec[0], c_sol=vec[1], t=state.t, size=state.size)
+    beta = hilbert_angle(state.u)
+    c_ns, c_sol = _step(math.cos(beta), math.sin(beta), state.c_ns, state.c_sol, theta, phi)
+    return SubspaceState(c_ns=c_ns, c_sol=c_sol, t=state.t, size=state.size)
 
 
 def run_schedule(t: int, size: int, schedule: PhaseSchedule | tuple) -> SubspaceState:
@@ -232,14 +244,4 @@ def bloch_from_state(state: SubspaceState) -> BlochVector:
         x=2.0 * cross.real,
         y=2.0 * cross.imag,
         z=abs(state.c_sol) ** 2 - abs(state.c_ns) ** 2,
-    )
-
-
-def bloch_from_pair(vec: np.ndarray) -> BlochVector:
-    """Bloch map for a raw (c_ns, c_sol) pair from :func:`evolve`."""
-    cross = np.conj(vec[0]) * vec[1]
-    return BlochVector(
-        x=2.0 * cross.real,
-        y=2.0 * cross.imag,
-        z=abs(vec[1]) ** 2 - abs(vec[0]) ** 2,
     )

@@ -39,6 +39,10 @@ POLE_TOL = 1e-9
 COS_CLAMP = 1e-10
 COS_SNAP = 5e-13
 DENOM_TOL = 1e-12
+# Largest iteration count the planner accepts.  Beyond about 2e7 the
+# double-precision phase equations stop having solutions (|cos theta1| > 1)
+# even at generic w; select_k refuses larger counts before any loop.
+MAX_K = 10**7
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,10 @@ def select_k(w: float) -> int:
     """Smallest usable iteration count for the promise pair (w, 1-w).
 
     k = 2 whenever min(w, 1-w) <= mu_2; otherwise the unique k with
-    mu_{k-1} < min(w, 1-w) <= mu_k.
+    mu_{k-1} < min(w, 1-w) <= mu_k.  mu_k <= w_min is k/(2k+1) >=
+    (2/pi) asin(sqrt(w_min)), solved for k in closed form; the estimate is
+    then corrected by the same mu comparisons that define the bracket.
+    Counts above MAX_K are refused before any loop runs.
     """
     if not 0.0 < w < 1.0:
         raise ParameterError(f"weight fraction must lie in (0, 1), got {w}")
@@ -74,9 +81,21 @@ def select_k(w: float) -> int:
     w_min = min(w, 1.0 - w)
     if w_min <= subspace.mu(2):
         return 2
-    k = 3
+    x = 2.0 / math.pi * math.asin(math.sqrt(w_min))
+    gap = 1.0 - 2.0 * x
+    if gap <= 0.0 or x / gap > MAX_K:
+        raise ParameterError(
+            f"w = {w!r} is too close to 1/2: it needs more than MAX_K = {MAX_K} iterations"
+        )
+    k = max(3, math.ceil(x / gap))
+    while k > 3 and w_min <= subspace.mu(k - 1):
+        k -= 1
     while w_min > subspace.mu(k):
         k += 1
+    if k > MAX_K:
+        raise ParameterError(
+            f"w = {w!r} is too close to 1/2: it needs {k} > MAX_K = {MAX_K} iterations"
+        )
     return k
 
 

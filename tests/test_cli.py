@@ -1,11 +1,13 @@
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groverweight import cli, subspace
+from groverweight import __version__, cli, subspace
 
 
 def run_cli(argv):
@@ -181,3 +183,19 @@ def test_counting_accepts_fractional_weight():
     probs = {int(r[0]): float(r[1]) for r in rows}
     assert probs[2] == pytest.approx(0.5, abs=1e-12)
     assert probs[8] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_randomized_rejects_non_positive_trials(monkeypatch, trials):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle built before the trial count was checked")
+
+    monkeypatch.setattr(cli, "make_random_oracle", no_oracle)
+    code, text = run_cli(["randomized", "--n", "8", "--k", "2", "--trials", trials, "--seed", "0"])
+    assert code == 1
+    assert text.startswith("parameter error: trials")
+
+
+def test_package_and_project_versions_agree():
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"', pyproject, re.M).group(1) == __version__

@@ -171,3 +171,27 @@ def test_cost_comparison_values():
     assert (dec, cnt) == (11, 41)
     assert ratio == pytest.approx(41 / 11)
     assert counting.cost_comparison(10_000)[2] == pytest.approx(4.0, abs=1e-3)
+
+
+def reference_success_probability(plan, index):
+    """Sum the register mass of every value that folds to the target."""
+    hyp = plan.hypotheses[index]
+    dist = counting.phase_distribution(hyp.weight, plan.P)
+    target = min(hyp.k, plan.P - hyp.k)
+    mass = 0.0
+    for f_tilde in range(plan.P):
+        if counting.fold(f_tilde, plan.P) == target:
+            mass += float(dist[f_tilde])
+    return mass
+
+
+def test_success_probability_equals_the_folding_loop():
+    rng = np.random.default_rng(12)
+    plans = [counting.plan_two_weights(*counting.comparison_pair(k)) for k in (1, 2, 5, 40, 333)]
+    for _ in range(40):
+        points = int(rng.integers(5, 3000))
+        outcomes = [1] + [int(x) + 2 for x in rng.choice((points + 1) // 2 - 2, 2, replace=False)]
+        plans.append(counting.plan_n_weights([Fraction(points, f) for f in outcomes]))
+    for plan in plans:
+        for i in range(len(plan.hypotheses)):
+            assert counting.hypothesis_success_probability(plan, i) == reference_success_probability(plan, i)

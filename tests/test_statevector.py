@@ -118,3 +118,25 @@ def test_deutsch_jozsa_promise_cases():
 def test_deutsch_jozsa_detects_promise_violation():
     with pytest.raises(PromiseViolationError):
         sv.deutsch_jozsa(make_random_oracle(4, 5, seed=2))
+
+
+def test_in_place_run_equals_composed_operators():
+    rng = np.random.default_rng(23)
+    orc = make_random_oracle(7, 45, seed=4)
+    steps = tuple((float(a), float(b)) for a, b in rng.uniform(-math.pi, math.pi, (9, 2)))
+    expect = sv.uniform_state(orc.n)
+    for theta, phi in steps:
+        expect = sv.apply_generalized_diffusion(sv.apply_oracle_phase(expect, orc, phi), theta)
+    assert np.array_equal(sv.run_full_schedule(orc, PhaseSchedule(steps)).amps, expect.amps)
+    assert np.array_equal(
+        sv.run_full_schedule(orc, PhaseSchedule.standard(3)).amps,
+        sv.run_full_schedule(orc, PhaseSchedule(((math.pi, math.pi),) * 3)).amps,
+    )
+
+
+def test_operators_leave_their_input_unchanged():
+    state = sv.uniform_state(4)
+    before = state.amps.copy()
+    sv.apply_oracle_phase(state, make_random_oracle(4, 5, seed=1), 1.3)
+    sv.apply_generalized_diffusion(state, 0.7)
+    assert np.array_equal(state.amps, before)

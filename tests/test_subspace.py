@@ -199,3 +199,31 @@ def test_bloch_consistency_after_standard_runs():
         assert abs(v.norm() - 1.0) < 1e-12
         assert v.z == pytest.approx(-math.cos((2 * k + 1) * beta_b), abs=1e-10)
         assert v.x == pytest.approx(math.sin((2 * k + 1) * beta_b), abs=1e-10)
+
+
+def test_closed_form_prefix_matches_step_by_step_product():
+    rng = np.random.default_rng(11)
+    for prefix in (0, 1, 2, 7, 64, 500, 1999, 2000):
+        for _ in range(4):
+            u = float(rng.uniform(0.001, 0.999))
+            tail = tuple(map(tuple, rng.uniform(-math.pi, math.pi, (int(rng.integers(0, 6)), 2))))
+            beta = math.asin(math.sqrt(u))
+            expect = np.array([math.cos(beta), math.sin(beta)], dtype=complex)
+            for theta, phi in ((math.pi, math.pi),) * prefix + tail:
+                expect = reference_step_matrix(u, theta, phi) @ expect
+            got = subspace.evolve(u, PhaseSchedule(tail, prefix=prefix))
+            assert np.max(np.abs(got - expect)) < 1e-11, (prefix, u)
+
+
+def test_evolve_accepts_plain_step_sequences():
+    steps = ((math.pi, math.pi), (0.3, -1.1), (2.0, 0.4))
+    assert np.array_equal(subspace.evolve(0.2, steps), subspace.evolve(0.2, PhaseSchedule(steps)))
+
+
+def test_standard_schedule_stores_a_count():
+    schedule = PhaseSchedule.standard(5)
+    assert schedule.steps == () and schedule.prefix == 5
+    assert len(schedule) == 5
+    assert list(schedule) == [(math.pi, math.pi)] * 5
+    with pytest.raises(ParameterError):
+        PhaseSchedule.standard(-1)

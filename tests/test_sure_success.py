@@ -6,6 +6,7 @@ import pytest
 from groverweight import statevector, subspace, sure_success
 from groverweight.errors import (
     GeometryInfeasibleError,
+    GroverWeightError,
     IndistinguishablePairError,
     InfeasiblePhaseError,
     ParameterError,
@@ -34,6 +35,81 @@ def test_select_k_bracket_property():
             assert w <= subspace.mu(2)
         else:
             assert subspace.mu(k - 1) < w <= subspace.mu(k)
+
+
+def reference_select_k(weights):
+    """select_k by the walk k = 3, 4, ... (the loop it replaced), per weight.
+
+    The walk is monotone in w, so one walk over the sorted fractions gives
+    every weight the result of its own walk from k = 3.
+    """
+    out = {}
+    k = 3
+    for w in sorted(weights, key=lambda v: min(v, 1.0 - v)):
+        w_min = min(w, 1.0 - w)
+        if w_min <= subspace.mu(2):
+            out[w] = 2
+            continue
+        while w_min > subspace.mu(k):
+            k += 1
+        out[w] = k
+    return out
+
+
+def test_select_k_equals_the_loop_on_a_log_sweep():
+    gaps = np.geomspace(1e-7, 0.45, 400)
+    weights = [0.5 - float(d) for d in gaps] + [0.5 + float(d) for d in gaps[::7]]
+    for w, k in reference_select_k(weights).items():
+        assert sure_success.select_k(w) == k, w
+
+
+def test_select_k_equals_the_loop_at_every_boundary():
+    weights = []
+    for k in range(1, 2001):
+        mu = subspace.mu(k)
+        weights += [math.nextafter(mu, 0.0), mu, math.nextafter(mu, 1.0)]
+    for w, k in reference_select_k(weights).items():
+        assert sure_success.select_k(w) == k, w
+
+
+def test_select_k_refuses_counts_beyond_max_k(monkeypatch):
+    calls = []
+    real_mu = subspace.mu
+    monkeypatch.setattr(subspace, "mu", lambda k: calls.append(k) or real_mu(k))
+    for w in (0.5 - 1e-8, 0.5 + 1e-9, 0.5 - 1e-12, math.nextafter(0.5, 0.0)):
+        calls.clear()
+        with pytest.raises(ParameterError, match="MAX_K"):
+            sure_success.select_k(w)
+        assert calls == [2]  # refused before the fix-up compares any mu_k
+
+
+def test_near_half_weights_plan_or_fail_mapped(monkeypatch):
+    calls = []
+    real_mu = subspace.mu
+    monkeypatch.setattr(subspace, "mu", lambda k: calls.append(k) or real_mu(k))
+    for gap in (1e-5, 1e-6, 1e-7, 5e-8, 2e-8, 1e-9, 1e-12):
+        needs = math.pi / (8 * gap)  # k with mu_k = 1/2 - gap, to leading order
+        for w in (0.5 - gap, 0.5 + gap):
+            calls.clear()
+            try:
+                plan = sure_success.plan_for_weight(w)
+            except GroverWeightError as exc:
+                assert isinstance(exc, ParameterError) and needs > sure_success.MAX_K, (w, exc)
+                continue
+            assert needs <= sure_success.MAX_K
+            assert plan.k <= sure_success.MAX_K
+            assert len(calls) <= 5  # closed-form estimate, then a fix-up of at most a few steps
+            w_small = min(w, 1.0 - w)
+            for _, p_correct in sure_success.hypothesis_report(plan, w_small, 1.0 - w_small):
+                assert p_correct >= 1 - 1e-9
+
+
+def test_sure_success_schedule_stores_two_explicit_steps():
+    plan = sure_success.plan_for_weight(0.4999)
+    schedule = plan.schedule
+    assert len(schedule) == plan.k and schedule.prefix == plan.k - 2
+    assert schedule.steps == ((-plan.theta1, math.pi), (-plan.theta2, math.pi))
+    assert list(schedule) == [(math.pi, math.pi)] * (plan.k - 2) + list(schedule.steps)
 
 
 def test_cross_point_boundary_lies_in_xz_plane():

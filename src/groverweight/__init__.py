@@ -6,17 +6,14 @@ classical majority-vote baseline and the quantum-counting alternative,
 plus a CLI that reproduces the quantitative claims.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
-from .oracle import BooleanOracle, evaluate, from_bits, from_hex, make_random_oracle, round_weight
+from .oracle import BooleanOracle, from_bits, from_hex, make_random_oracle, round_weight
 from .subspace import (
     BlochVector,
     PhaseSchedule,
-    SubspaceState,
-    apply_generalized_step,
     bloch_from_state,
     closed_form_amplitudes,
-    initial_state,
     mu,
     recurrence_amplitudes,
     roots,
@@ -44,12 +41,11 @@ from .sure_success import (
     plan_for_weight,
     select_k,
     solve_theta1,
-    solve_theta2,
     sure_success_decide,
     verify_first_cross,
     verify_no_cross,
 )
-from .classical import MajorityExperiment, error_probability, majority_vote_trial, scaling_table
+from .classical import error_probability, majority_vote_trial, scaling_table
 from .counting import (
     CountingPlan,
     cost_comparison,
@@ -57,7 +53,6 @@ from .counting import (
     decide_by_counting,
     plan_check_weight,
     plan_n_weights,
-    plan_two_weights,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

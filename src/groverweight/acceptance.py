@@ -245,7 +245,7 @@ def _criterion_8() -> tuple[bool, str]:
         if round(est) != t or abs(est - t) > 1e-6:
             return False, f"estimator returned {est} for t={t}"
     a1, a2 = counting.comparison_pair(2)
-    plan = counting.plan_two_weights(a1, a2)
+    plan = counting.plan_n_weights([a1, a2])
     p0 = counting.hypothesis_success_probability(plan, 0)
     p1 = counting.hypothesis_success_probability(plan, 1)
     calls = counting.cost_comparison(2)

@@ -4,21 +4,20 @@ Each uniformly random query indicates the true hypothesis of the promise
 pair with probability p = cos^2(pi k / (2(2k+1))); after g (odd) queries
 the vote errs with the binomial tail E(k, g).  The tail is evaluated in
 log space via log-gamma so that g up to 10^6 stays exact to ~1e-12
-relative error.
+relative error; larger g is refused before anything is allocated.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .decision import PromisePair
 from .errors import ParameterError
 from .oracle import BooleanOracle
 
 QUERY_CHUNK = 1 << 22  # cap on queries materialized per vectorized block
+MAX_G = 10**6  # compute budget of the exact tail: (g + 1) / 2 terms
 
 
 def single_query_accuracy(k: int) -> float:
@@ -38,6 +37,11 @@ def error_probability(k: int, g: int) -> float:
         raise ParameterError("k must be >= 1")
     if g < 1 or g % 2 == 0:
         raise ParameterError(f"query count must be odd and positive, got {g}")
+    if g > MAX_G:
+        raise ParameterError(f"g = {g} exceeds the compute budget MAX_G = {MAX_G}")
+    # Deferred: scipy is needed here only, and importing it dominates CLI start-up.
+    from scipy.special import gammaln
+
     p = single_query_accuracy(k)
     i = np.arange(0, (g - 1) // 2 + 1, dtype=np.float64)
     log_terms = (
@@ -48,20 +52,6 @@ def error_probability(k: int, g: int) -> float:
         + (g - i) * math.log1p(-p)
     )
     return float(np.exp(log_terms).sum())
-
-
-@dataclass(frozen=True)
-class MajorityExperiment:
-    """One (k, g) evaluation: per-query accuracy and exact error."""
-
-    k: int
-    g: int
-    p: float
-    error: float
-
-    @classmethod
-    def evaluate(cls, k: int, g: int) -> "MajorityExperiment":
-        return cls(k=k, g=g, p=single_query_accuracy(k), error=error_probability(k, g))
 
 
 def majority_vote_trial(
@@ -115,7 +105,5 @@ def scaling_table(k_list, exponents) -> list[tuple[int, float, int, float]]:
     for k in k_list:
         for s in exponents:
             g = nearest_odd(float(k) ** float(s))
-            if g > 10**6:
-                raise ParameterError(f"g = {g} exceeds the 1e6 compute budget")
             rows.append((k, float(s), g, error_probability(k, g)))
     return rows

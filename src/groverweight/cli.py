@@ -6,9 +6,6 @@ digits; --format json mirrors the same content.  Identical invocations,
 seed included, produce byte-identical output.  Exit codes: 0 success,
 1 parameter errors, 2 promise/feasibility errors, 3 internal
 verification failures.
-
-GROVERWEIGHT_THREADS sets the worker count for Monte Carlo fan-out;
-everything else is a flag.
 """
 from __future__ import annotations
 
@@ -16,9 +13,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +26,6 @@ from .errors import (
 )
 from .oracle import from_hex, make_random_oracle, round_weight
 from .statevector import measure_distribution, run_full_schedule
-
-MC_CHUNK = 25_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,12 +76,6 @@ class Report:
             return
         with open(out, "w", encoding="utf-8") as fh:
             self.write_csv(fh) if fmt == "csv" else self.write_json(fh)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("GROVERWEIGHT_THREADS", "1")))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -156,21 +143,6 @@ def _cmd_distinguish(args, stdout) -> int:
     return 0
 
 
-def _mc_successes(oracle, k: int, trials: int, seed: int, threads: int) -> int:
-    chunks = [MC_CHUNK] * (trials // MC_CHUNK)
-    if trials % MC_CHUNK:
-        chunks.append(trials % MC_CHUNK)
-    streams = np.random.SeedSequence(seed).spawn(len(chunks))
-    jobs = [(size, np.random.default_rng(ss)) for size, ss in zip(chunks, streams)]
-    if threads == 1 or len(jobs) == 1:
-        return sum(decision.empirical_success_count(oracle, k, size, rng) for size, rng in jobs)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        counts = pool.map(
-            lambda job: decision.empirical_success_count(oracle, k, job[0], job[1]), jobs
-        )
-        return sum(counts)
-
-
 def _cmd_randomized(args, stdout) -> int:
     if args.trials < 1:
         raise ParameterError(f"trials must be >= 1, got {args.trials}")
@@ -180,7 +152,9 @@ def _cmd_randomized(args, stdout) -> int:
     rows = []
     for t in weights:
         oracle = make_random_oracle(args.n, t, seed=args.seed)
-        successes = _mc_successes(oracle, args.k, args.trials, args.seed, _threads(args))
+        successes = decision.empirical_success_count(
+            oracle, args.k, args.trials, np.random.default_rng(args.seed)
+        )
         rows.append(
             (
                 args.n,
@@ -322,37 +296,47 @@ def _cmd_selftest(args, stdout) -> int:
     return 0 if not failed else 3
 
 
+def _report_ok(text: str) -> bool:
+    """Metadata present and rows rectangular; False on anything unparsable."""
+    if text.lstrip().startswith("{"):
+        try:
+            payload = json.loads(text)
+            meta, columns, rows = payload["metadata"], payload["columns"], payload["rows"]
+            return (
+                isinstance(meta, dict)
+                and {"command", "version"} <= meta.keys()
+                and all(len(r) == len(columns) for r in rows)
+            )
+        except (ValueError, KeyError, TypeError):
+            return False
+    meta = {}
+    data_lines = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            meta[key.strip()] = value.strip()
+        elif line.strip():
+            data_lines.append(line)
+    try:
+        rows = list(csv.reader(data_lines))
+    except csv.Error:
+        return False
+    return (
+        {"command", "version", "seed"} <= set(meta)
+        and len(rows) >= 1
+        and all(len(r) == len(rows[0]) for r in rows)
+    )
+
+
 def _verify_file(path: str, stdout) -> int:
-    """Re-parse an emitted report: metadata present, rows rectangular."""
+    """Re-parse an emitted report; every file ends in valid or invalid."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         stdout.write(f"cannot read {path}: {exc}\n")
         return 1
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        ok = (
-            "metadata" in payload
-            and "command" in payload["metadata"]
-            and "version" in payload["metadata"]
-            and all(len(r) == len(payload["columns"]) for r in payload["rows"])
-        )
-    else:
-        meta = {}
-        data_lines = []
-        for line in text.splitlines():
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
-            elif line.strip():
-                data_lines.append(line)
-        rows = list(csv.reader(data_lines))
-        ok = (
-            {"command", "version", "seed"} <= set(meta)
-            and len(rows) >= 1
-            and all(len(r) == len(rows[0]) for r in rows)
-        )
+    ok = _report_ok(text)
     stdout.write(("valid" if ok else "invalid") + f" report: {path}\n")
     return 0 if ok else 1
 
@@ -360,7 +344,6 @@ def _verify_file(path: str, stdout) -> int:
 def _add_report_args(parser) -> None:
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=None, help="Monte Carlo worker threads")
 
 
 def build_parser() -> _Parser:
@@ -429,7 +412,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--criteria", type=int, nargs="+", help="subset to run (default all)")
-    _add_report_args(p)
 
     return parser
 

@@ -152,11 +152,6 @@ def plan_n_weights(a_list) -> CountingPlan:
     return CountingPlan(P=points, hypotheses=hyps, total_oracle_calls=points - 1)
 
 
-def plan_two_weights(a1, a2) -> CountingPlan:
-    """Two-hypothesis special case of :func:`plan_n_weights`."""
-    return plan_n_weights([a1, a2])
-
-
 def comparison_pair(k: int) -> tuple[Fraction, Fraction]:
     """Angle divisors of the complementary pair decided by k iterations.
 

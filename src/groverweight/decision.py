@@ -11,7 +11,6 @@ run costs k + 1.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +60,29 @@ class PromisePair:
         return self.t_small, self.t_big
 
 
-def infer_from_bit(pair: PromisePair, k: int, f_bit: int) -> int:
-    """Step-11 parity rule: map the verified bit f(x_hat) to a weight."""
-    if k % 2 == 1:
-        return pair.t_big if f_bit == 0 else pair.t_small
-    return pair.t_big if f_bit == 1 else pair.t_small
+def small_bit(k: int) -> int:
+    """Step-11 parity rule: the verified bit f(x_hat) that names the smaller weight.
+
+    After k standard iterations the smaller weight of the promise pair has
+    its mass in the solution class for odd k and in the non-solution class
+    for even k; the other bit names the bigger weight.
+    """
+    return k % 2
+
+
+def infer_from_bit(k: int, f_bit: int, t_small: int, t_big: int) -> int:
+    """Map the verified bit f(x_hat) after k iterations to a weight."""
+    return t_small if f_bit == small_bit(k) else t_big
+
+
+def correct_probability(k: int, small: bool, p_zero: float, p_one: float) -> float:
+    """Probability that the verified bit names the true hypothesis.
+
+    p_zero and p_one are the final f = 0 and f = 1 outcome probabilities;
+    small says whether the true weight is the smaller of the pair.
+    """
+    names_small_on_one = small_bit(k) == 1
+    return p_one if names_small_on_one == small else p_zero
 
 
 def _class_probabilities(oracle: BooleanOracle, k: int) -> tuple[float, float]:
@@ -110,7 +127,7 @@ def distinguish_quarter(oracle: BooleanOracle, rng: np.random.Generator | None =
         )
     x_hat = int(rng.choice(size, p=probs / probs.sum()))
     f_bit = oracle.value(x_hat)
-    inferred = 3 * size // 4 if f_bit == 0 else size // 4
+    inferred = infer_from_bit(1, f_bit, size // 4, 3 * size // 4)
     return DecisionOutcome(
         measured_x=x_hat,
         f_of_x=f_bit,
@@ -137,7 +154,7 @@ def randomized_weight_decision(
     pair = PromisePair.for_iterations(k, oracle.size)
     _, p_sol = _class_probabilities(oracle, k)
     x_hat, f_bit = _sample_outcome(oracle, p_sol, rng)
-    inferred = infer_from_bit(pair, k, f_bit)
+    inferred = infer_from_bit(k, f_bit, pair.t_small, pair.t_big)
     correct = inferred == oracle.t
     if strict and not correct:
         raise PromiseViolationError(
@@ -165,9 +182,7 @@ def exact_success_probability(k: int, t: int, size: int) -> float:
     a, b = subspace.recurrence_amplitudes(k, t / size)
     p_zero = (size - t) * a * a / size
     p_one = t * b * b / size
-    if k % 2 == 1:
-        return p_one if t == pair.t_small else p_zero
-    return p_zero if t == pair.t_small else p_one
+    return correct_probability(k, t == pair.t_small, p_zero, p_one)
 
 
 def theorem_bound(k: int, size: int) -> float:
@@ -181,35 +196,18 @@ def empirical_success_count(
     trials: int,
     rng: np.random.Generator,
 ) -> int:
-    """Correct inferences over independent Monte Carlo runs.
+    """Correct inferences over independent runs of the randomized decision.
 
-    Only the measured class determines the inference, so trials draw the
-    class Bernoulli in one vectorized pass.
+    Only the measured class determines the inference, so each run is
+    correct with the exact probability of the right class and the count
+    is one Binomial(trials, p) draw.  An oracle off the promise pair is
+    never inferred correctly and scores 0.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     pair = PromisePair.for_iterations(k, oracle.size)
-    _, p_sol = _class_probabilities(oracle, k)
-    f_bits = rng.random(trials) < p_sol
-    big = (f_bits == 0) if k % 2 == 1 else (f_bits == 1)
-    inferred = np.where(big, pair.t_big, pair.t_small)
-    return int(np.count_nonzero(inferred == oracle.t))
-
-
-def empirical_success_rate(
-    oracle: BooleanOracle,
-    k: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    return empirical_success_count(oracle, k, trials, rng) / trials
-
-
-def theorem1_iteration_amplitudes(t: int, size: int) -> tuple[float, float]:
-    """Per-state amplitudes after one standard iteration, in closed form.
-
-    (N - 4t) / (N sqrt(N)) on the f=0 class and (3N - 4t) / (N sqrt(N))
-    on the f=1 class, valid for every 0 <= t <= N.
-    """
-    root = size * math.sqrt(size)
-    return (size - 4 * t) / root, (3 * size - 4 * t) / root
+    if oracle.t not in pair.weights():
+        return 0
+    p_zero, p_one = _class_probabilities(oracle, k)
+    p = correct_probability(k, oracle.t == pair.t_small, p_zero, p_one)
+    return int(rng.binomial(trials, p))

@@ -73,8 +73,8 @@ class BooleanOracle:
 def from_bits(bits) -> BooleanOracle:
     """Build an oracle from an explicit bit sequence of length 2^n."""
     arr = np.asarray(bits, dtype=np.uint8)
-    n = int(round(math.log2(arr.size)))
-    if 1 << n != arr.size:
+    n = arr.size.bit_length() - 1
+    if n < 0 or 1 << n != arr.size:
         raise ParameterError("table length must be a power of two")
     return BooleanOracle(n=n, bits=arr, t=int(arr.sum()))
 
@@ -113,11 +113,6 @@ def make_random_oracle(n: int, t: int, seed: int) -> BooleanOracle:
     bits = np.full(size, invert, dtype=np.uint8)
     bits[idx[:pick]] = 0 if invert else 1
     return BooleanOracle(n=n, bits=bits, t=t)
-
-
-def evaluate(oracle: BooleanOracle, x: int) -> int:
-    """One classical query f(x); pure, bounds-checked."""
-    return oracle.value(x)
 
 
 def round_weight(w: float, size: int) -> int:

@@ -51,18 +51,12 @@ class SubspaceState:
     def solution_probability(self) -> float:
         return abs(self.c_sol) ** 2
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.c_ns, self.c_sol], dtype=complex)
-
 
 @dataclass(frozen=True)
 class BlochVector:
     x: float
     y: float
     z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
     def norm(self) -> float:
         return math.sqrt(self.x**2 + self.y**2 + self.z**2)
@@ -150,33 +144,18 @@ def evolve(u: float, steps) -> np.ndarray:
     return np.array([c_ns, c_sol], dtype=complex)
 
 
-def initial_state(t: int, size: int) -> SubspaceState:
-    """Uniform superposition decomposed over the two classes."""
+def run_schedule(t: int, size: int, schedule: PhaseSchedule | tuple) -> SubspaceState:
+    """Left-to-right composition of generalized steps from the uniform state.
+
+    t in {0, N} leaves no two-dimensional plane and raises.
+    """
     if not 0 <= t <= size:
         raise ParameterError(f"weight {t} outside [0, {size}]")
     if t in (0, size):
         raise DegenerateSubspaceError(
             f"t = {t} of N = {size}: no two-dimensional invariant plane"
         )
-    return SubspaceState(
-        c_ns=complex(math.sqrt((size - t) / size)),
-        c_sol=complex(math.sqrt(t / size)),
-        t=t,
-        size=size,
-    )
-
-
-def apply_generalized_step(state: SubspaceState, theta: float, phi: float) -> SubspaceState:
-    """One -I_{psi0}(theta) . I_{sol}(phi) application, exactly unitary."""
-    beta = hilbert_angle(state.u)
-    c_ns, c_sol = _step(math.cos(beta), math.sin(beta), state.c_ns, state.c_sol, theta, phi)
-    return SubspaceState(c_ns=c_ns, c_sol=c_sol, t=state.t, size=state.size)
-
-
-def run_schedule(t: int, size: int, schedule: PhaseSchedule | tuple) -> SubspaceState:
-    """Left-to-right composition of generalized steps from the uniform state."""
-    state = initial_state(t, size)
-    vec = evolve(state.u, schedule)
+    vec = evolve(t / size, schedule)
     return SubspaceState(c_ns=vec[0], c_sol=vec[1], t=t, size=size)
 
 

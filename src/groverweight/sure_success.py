@@ -31,14 +31,13 @@ from .errors import (
     ParameterError,
     PhaseSolutionFailureError,
 )
-from .decision import DecisionOutcome, _sample_outcome
+from .decision import DecisionOutcome, _sample_outcome, correct_probability, infer_from_bit
 from .oracle import BooleanOracle, round_weight
 from .subspace import BlochVector, PhaseSchedule
 
 POLE_TOL = 1e-9
 COS_CLAMP = 1e-10
 COS_SNAP = 5e-13
-DENOM_TOL = 1e-12
 # Largest iteration count the planner accepts.  Beyond about 2e7 the
 # double-precision phase equations stop having solutions (|cos theta1| > 1)
 # even at generic w; select_k refuses larger counts before any loop.
@@ -149,45 +148,14 @@ def _theta2_candidates(k: int, beta: float, y: float) -> list[float]:
     return [delta + gamma, delta - gamma]
 
 
-def _pole_probabilities(w_small: float, k: int, theta1: float, theta2: float) -> tuple[float, float]:
-    """Final solution-class probability for each hypothesis."""
-    schedule = PhaseSchedule.sure_success(k, theta1, theta2)
-    small = subspace.evolve(w_small, schedule)
-    big = subspace.evolve(1.0 - w_small, schedule)
-    return abs(small[1]) ** 2, abs(big[1]) ** 2
-
-
 def _verified(w_small: float, k: int, theta1: float, theta2: float) -> bool:
-    """True iff the two hypotheses land on opposite poles, smaller at -(-1)^k."""
-    p_small, p_big = _pole_probabilities(w_small, k, theta1, theta2)
-    if k % 2 == 1:
-        return p_small >= 1.0 - POLE_TOL and 1.0 - p_big >= 1.0 - POLE_TOL
-    return 1.0 - p_small >= 1.0 - POLE_TOL and p_big >= 1.0 - POLE_TOL
-
-
-def solve_theta2(k: int, beta: float, y: float) -> float:
-    """Second modified diffusion phase for a given cross-point y.
-
-    Raises on a degenerate denominator in the defining relation, and when
-    no analytic branch passes the end-to-end opposite-pole verification.
-    """
-    sign = -1.0 if k % 2 else 1.0
-    denom = math.cos(beta) * math.cos(2 * beta) - sign * math.cos((2 * k - 2) * beta)
-    if abs(denom) <= DENOM_TOL:
-        raise InfeasiblePhaseError(f"theta2 relation degenerate at k = {k}, beta = {beta}")
-    sin_t1 = y / math.sin((2 * k - 2) * beta)
-    cos_t1 = _snap_cos(
-        (sign * math.cos(beta) - math.cos(2 * beta) * math.cos((2 * k - 2) * beta))
-        / (math.sin(2 * beta) * math.sin((2 * k - 2) * beta))
-    )
-    theta1 = math.atan2(sin_t1, cos_t1)
-    w_small = math.sin(beta / 2.0) ** 2
-    for theta2 in _theta2_candidates(k, beta, y):
-        if _verified(w_small, k, theta1, theta2):
-            return theta2
-    raise PhaseSolutionFailureError(
-        f"no theta2 branch reaches both poles at k = {k}, beta = {beta}"
-    )
+    """True iff both hypotheses land on the pole whose verified bit names them."""
+    schedule = PhaseSchedule.sure_success(k, theta1, theta2)
+    for u, small in ((w_small, True), (1.0 - w_small, False)):
+        p_sol = abs(subspace.evolve(u, schedule)[1]) ** 2
+        if not correct_probability(k, small, 1.0 - p_sol, p_sol) >= 1.0 - POLE_TOL:
+            return False
+    return True
 
 
 def plan_for_weight(w: float) -> SureSuccessPlan:
@@ -234,11 +202,7 @@ def hypothesis_report(plan: SureSuccessPlan, u_small: float, u_big: float):
         vec = subspace.evolve(u, schedule)
         z = abs(vec[1]) ** 2 - abs(vec[0]) ** 2
         p_sol = abs(vec[1]) ** 2
-        if plan.k % 2 == 1:
-            p_correct = p_sol if small else 1.0 - p_sol
-        else:
-            p_correct = 1.0 - p_sol if small else p_sol
-        out.append((z, p_correct))
+        out.append((z, correct_probability(plan.k, small, 1.0 - p_sol, p_sol)))
     return out
 
 
@@ -257,10 +221,7 @@ def sure_success_decide(
     t_big = round_weight(max(w, 1.0 - w), size)
     vec = subspace.evolve(oracle.t / size, plan.schedule)
     x_hat, f_bit = _sample_outcome(oracle, abs(vec[1]) ** 2, rng)
-    if plan.k % 2 == 1:
-        inferred = t_big if f_bit == 0 else t_small
-    else:
-        inferred = t_big if f_bit == 1 else t_small
+    inferred = infer_from_bit(plan.k, f_bit, t_small, t_big)
     return DecisionOutcome(
         measured_x=x_hat,
         f_of_x=f_bit,

@@ -103,6 +103,12 @@ def test_scaling_table_regimes():
         classical.scaling_table([101], [3])  # over the 1e6 budget
 
 
+def test_error_probability_budget():
+    assert 0.0 < classical.error_probability(10**5, classical.MAX_G - 1) < 0.5
+    with pytest.raises(ParameterError, match="compute budget"):
+        classical.error_probability(3, classical.MAX_G + 1)
+
+
 def test_nearest_odd():
     assert classical.nearest_odd(1.0) == 1
     assert classical.nearest_odd(2.9) == 3

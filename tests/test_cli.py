@@ -2,12 +2,14 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groverweight import __version__, cli, subspace
+from groverweight import __version__, classical, cli, decision, subspace
 
 
 def run_cli(argv):
@@ -56,15 +58,24 @@ def test_identical_invocations_are_byte_identical():
     assert first == second and first[0] == 0
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    base = run_cli(["randomized", "--n", "9", "--k", "3", "--trials", "60000", "--seed", "5"])
-    threaded = run_cli(
-        ["randomized", "--n", "9", "--k", "3", "--trials", "60000", "--seed", "5", "--threads", "4"]
-    )
-    assert base == threaded
-    monkeypatch.setenv("GROVERWEIGHT_THREADS", "3")
-    via_env = run_cli(["randomized", "--n", "9", "--k", "3", "--trials", "60000", "--seed", "5"])
-    assert base == via_env
+def test_randomized_successes_are_the_seeded_binomial_draw():
+    # n = 4, k = 2 decides (6, 10) with exact_p = 0.9765625 < 0.99, so the
+    # count is a genuine draw, not trials.
+    argv = ["randomized", "--n", "4", "--k", "2", "--trials", "5000", "--seed", "5"]
+    code, text = run_cli(argv)
+    assert code == 0 and run_cli(argv) == (code, text)
+    _, header, rows = parse_report(text)
+    assert [int(r[2]) for r in rows] == [6, 10]
+    for row in rows:
+        t = int(row[2])
+        assert float(row[header.index("exact_p")]) < 0.99
+        state = subspace.run_schedule(t, 16, subspace.PhaseSchedule.standard(2))
+        p_sol = state.solution_probability
+        p = decision.correct_probability(2, t == 6, 1.0 - p_sol, p_sol)
+        assert int(row[header.index("successes")]) == np.random.default_rng(5).binomial(5000, p)
+    # one weight alone gives the same row as in the pair
+    _, single = run_cli(argv + ["--t", "10"])
+    assert parse_report(single)[2] == rows[1:]
 
 
 def test_json_mirrors_csv_content():
@@ -105,6 +116,28 @@ def test_verify_rejects_garbage(tmp_path):
     assert code == 1 and text.startswith("invalid")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"metadata": {"command": "mu", "version": "x"}, "columns": [',
+        json.dumps({"metadata": {"command": "mu", "version": "x"}}),
+        json.dumps({"metadata": {"command": "mu", "version": "x"}, "columns": ["k"]}),
+        json.dumps({"columns": ["k"], "rows": [["1"]]}),
+        json.dumps({"metadata": 3, "columns": ["k"], "rows": [["1"]]}),
+        json.dumps({"metadata": "command, version", "columns": ["k"], "rows": [["1"]]}),
+        json.dumps({"metadata": {"command": "mu", "version": "x"}, "columns": ["k"], "rows": [1]}),
+        "# command = mu\n# version = x\n# seed = none\nk\n" + "1" * 200_000 + "\n",
+    ],
+    ids=["truncated-json", "no-columns", "no-rows", "no-metadata", "scalar-metadata",
+         "string-metadata", "scalar-row", "oversized-csv-field"],
+)
+def test_verify_rejects_malformed_reports(tmp_path, content):
+    path = tmp_path / "report.txt"
+    path.write_text(content)
+    code, text = run_cli(["--verify", str(path)])
+    assert (code, text) == (1, f"invalid report: {path}\n")
+
+
 def test_counting_plan_spelling_routes():
     code, text = run_cli(["counting", "plan", "--weights", "5", "10/3"])
     assert code == 0
@@ -138,6 +171,43 @@ def test_exit_code_promise_error():
 def test_exit_code_indistinguishable_weight():
     code, _ = run_cli(["sure-success", "--n", "4", "--w", "1/2"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["randomized", "--n", "4", "--k", "2", "--trials", "10", "--threads", "2"],
+        ["selftest", "--criteria", "3", "--out", "report.csv"],
+        ["selftest", "--criteria", "3", "--format", "json"],
+    ],
+)
+def test_options_without_effect_are_usage_errors(argv):
+    code, _ = run_cli(argv)
+    assert code == 1
+
+
+def test_classical_refuses_g_over_budget(monkeypatch):
+    def no_tail(*args, **kwargs):
+        raise AssertionError("tail terms built before the budget was checked")
+
+    # np.arange builds the terms; the budget check must come first.
+    monkeypatch.setattr(classical.np, "arange", no_tail)
+    code, text = run_cli(["classical", "--k", "3", "--g", "1000001"])
+    assert code == 1
+    assert text.startswith("parameter error: g = 1000001")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, groverweight.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_selftest_subset_passes():

@@ -83,24 +83,24 @@ def test_plan_check_weight_examples():
 def test_plan_two_weights_comparison_pair():
     a1, a2 = counting.comparison_pair(2)
     assert (a1, a2) == (Fraction(5), Fraction(10, 3))
-    plan = counting.plan_two_weights(a1, a2)
+    plan = counting.plan_n_weights([a1, a2])
     assert plan.P == 10
     assert [h.k for h in plan.hypotheses] == [2, 3]
     assert plan.total_oracle_calls == 9
 
 
 def test_plan_two_weights_lcm_case():
-    plan = counting.plan_two_weights(4, 6)
+    plan = counting.plan_n_weights([4, 6])
     assert plan.P == 12
     assert [h.k for h in plan.hypotheses] == [3, 2]
     with pytest.raises(PlanningError):
-        counting.plan_two_weights(4, 4)
+        counting.plan_n_weights([4, 4])
 
 
 def test_plan_rejects_folded_collisions():
     # a = 4 and a = 4/3 name the same weight via supplementary angles
     with pytest.raises(PlanningError):
-        counting.plan_two_weights(4, Fraction(4, 3))
+        counting.plan_n_weights([4, Fraction(4, 3)])
 
 
 def test_plan_n_weights():
@@ -151,7 +151,7 @@ def test_decide_flags_off_promise_weight():
 
 
 def test_hypothesis_success_probability_exact_pair():
-    plan = counting.plan_two_weights(*counting.comparison_pair(2))
+    plan = counting.plan_n_weights(counting.comparison_pair(2))
     assert counting.hypothesis_success_probability(plan, 0) == pytest.approx(1.0, abs=1e-12)
     assert counting.hypothesis_success_probability(plan, 1) == pytest.approx(1.0, abs=1e-12)
 
@@ -187,7 +187,7 @@ def reference_success_probability(plan, index):
 
 def test_success_probability_equals_the_folding_loop():
     rng = np.random.default_rng(12)
-    plans = [counting.plan_two_weights(*counting.comparison_pair(k)) for k in (1, 2, 5, 40, 333)]
+    plans = [counting.plan_n_weights(counting.comparison_pair(k)) for k in (1, 2, 5, 40, 333)]
     for _ in range(40):
         points = int(rng.integers(5, 3000))
         outcomes = [1] + [int(x) + 2 for x in rng.choice((points + 1) // 2 - 2, 2, replace=False)]

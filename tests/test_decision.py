@@ -16,7 +16,7 @@ def statevector_success_probability(oracle, k):
     pair = decision.PromisePair.for_iterations(k, oracle.size)
     mass = 0.0
     for x in range(oracle.size):
-        inferred = decision.infer_from_bit(pair, k, oracle.value(x))
+        inferred = decision.infer_from_bit(k, oracle.value(x), pair.t_small, pair.t_big)
         if inferred == oracle.t:
             mass += probs[x]
     return mass
@@ -129,7 +129,7 @@ def test_empirical_rate_agrees_with_exact():
     orc = make_random_oracle(n, t, seed=4)
     exact = decision.exact_success_probability(k, t, size)
     trials = 100_000
-    rate = decision.empirical_success_rate(orc, k, trials, np.random.default_rng(99))
+    rate = decision.empirical_success_count(orc, k, trials, np.random.default_rng(99)) / trials
     sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
     assert abs(rate - exact) <= 4 * sigma + 1e-9
     assert rate >= decision.theorem_bound(k, size) - 4 * sigma

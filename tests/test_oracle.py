@@ -40,22 +40,30 @@ def test_evaluate_agrees_with_table_exhaustively():
     for n in (1, 4, 7, 10):
         orc = oracle.make_random_oracle(n, (1 << n) // 3, seed=n)
         for x in range(orc.size):
-            assert oracle.evaluate(orc, x) == int(orc.bits[x])
+            assert orc.value(x) == int(orc.bits[x])
 
 
 def test_evaluate_bounds_checked():
     orc = oracle.make_random_oracle(3, 4, seed=0)
     with pytest.raises(IndexError):
-        oracle.evaluate(orc, 8)
+        orc.value(8)
     with pytest.raises(IndexError):
-        oracle.evaluate(orc, -1)
+        orc.value(-1)
 
 
 def test_bit_order_least_significant_first():
     # table 1010 as a bit sequence: f(0)=1, f(1)=0, f(2)=1, f(3)=0
     orc = oracle.from_bits([1, 0, 1, 0])
-    assert oracle.evaluate(orc, 0) == 1
-    assert oracle.evaluate(orc, 1) == 0
+    assert orc.value(0) == 1
+    assert orc.value(1) == 0
+
+
+def test_from_bits_rejects_tables_that_are_not_a_power_of_two():
+    for bits in ([], [1, 0, 1]):
+        with pytest.raises(ParameterError):
+            oracle.from_bits(bits)
+    with pytest.raises(ParameterError):
+        oracle.from_bits([1])  # one entry is n = 0 variables
 
 
 def test_round_weight_examples():

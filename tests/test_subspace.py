@@ -17,72 +17,75 @@ def reference_step_matrix(u, theta, phi):
     return -(i_psi0 @ i_sol)
 
 
+def uniform(t, size):
+    """The uniform state as run_schedule reports it before any step."""
+    return subspace.run_schedule(t, size, PhaseSchedule(()))
+
+
 def test_initial_state_decompositions():
-    s = subspace.initial_state(1, 4)
+    s = uniform(1, 4)
     assert s.c_ns == pytest.approx(math.sqrt(3) / 2)
     assert s.c_sol == pytest.approx(0.5)
-    s = subspace.initial_state(2, 4)
+    s = uniform(2, 4)
     assert s.c_ns == pytest.approx(math.sqrt(2) / 2)
     assert s.c_sol == pytest.approx(math.sqrt(2) / 2)
-    s = subspace.initial_state(3, 4)
+    s = uniform(3, 4)
     assert (s.c_ns, s.c_sol) == (pytest.approx(0.5), pytest.approx(math.sqrt(3) / 2))
 
 
 def test_degenerate_weights_rejected():
-    with pytest.raises(DegenerateSubspaceError):
-        subspace.initial_state(0, 8)
-    with pytest.raises(DegenerateSubspaceError):
-        subspace.initial_state(8, 8)
+    for t in (0, 8):
+        with pytest.raises(DegenerateSubspaceError):
+            subspace.run_schedule(t, 8, PhaseSchedule.standard(1))
+    with pytest.raises(ParameterError):
+        subspace.run_schedule(9, 8, PhaseSchedule(()))
 
 
 def test_identity_phases_give_minus_identity():
-    state = subspace.initial_state(3, 16)
-    out = subspace.apply_generalized_step(state, 0.0, 0.0)
+    state = uniform(3, 16)
+    out = subspace.run_schedule(3, 16, ((0.0, 0.0),))
     assert out.c_ns == pytest.approx(-state.c_ns)
     assert out.c_sol == pytest.approx(-state.c_sol)
 
 
 def test_single_standard_iteration_is_exact_for_quarter_weight():
-    state = subspace.initial_state(1, 4)
-    out = subspace.apply_generalized_step(state, math.pi, math.pi)
-    assert abs(out.c_ns) == pytest.approx(0.0, abs=1e-12)
-    assert abs(out.c_sol) == pytest.approx(1.0)
+    out = subspace.evolve(0.25, [(math.pi, math.pi)])
+    assert abs(out[0]) == pytest.approx(0.0, abs=1e-12)
+    assert abs(out[1]) == pytest.approx(1.0)
 
 
 def test_step_matches_independent_matrix_product():
     rng = np.random.default_rng(42)
+    u = 3 / 10  # arbitrary non-degenerate plane
+    psi0 = np.array([math.sqrt(1 - u), math.sqrt(u)], dtype=complex)
     for _ in range(50):
-        t, size = 3, 10  # arbitrary non-degenerate plane
         theta, phi = rng.uniform(-math.pi, math.pi, 2)
-        state = subspace.initial_state(t, size)
-        out = subspace.apply_generalized_step(state, theta, phi)
-        expect = reference_step_matrix(t / size, theta, phi) @ state.vector()
-        assert np.allclose(out.vector(), expect, atol=1e-14)
+        out = subspace.evolve(u, [(theta, phi)])
+        expect = reference_step_matrix(u, theta, phi) @ psi0
+        assert np.allclose(out, expect, atol=1e-14)
 
 
 def test_pure_diffusion_preserves_solution_magnitude():
-    state = subspace.initial_state(1, 4)
-    out = subspace.apply_generalized_step(state, math.pi, 0.0)
-    expect = reference_step_matrix(0.25, math.pi, 0.0) @ state.vector()
-    assert np.allclose(out.vector(), expect, atol=1e-14)
-    assert abs(out.c_sol) == pytest.approx(abs(state.c_sol))
+    psi0 = np.array([math.sqrt(3) / 2, 0.5], dtype=complex)
+    out = subspace.evolve(0.25, [(math.pi, 0.0)])
+    expect = reference_step_matrix(0.25, math.pi, 0.0) @ psi0
+    assert np.allclose(out, expect, atol=1e-14)
+    assert abs(out[1]) == pytest.approx(0.5)
 
 
 def test_unitarity_over_random_steps():
     rng = np.random.default_rng(7)
-    state = subspace.initial_state(5, 32)
-    for _ in range(10_000):
-        theta, phi = rng.uniform(-2 * math.pi, 2 * math.pi, 2)
-        state = subspace.apply_generalized_step(state, theta, phi)
-        norm = abs(state.c_ns) ** 2 + abs(state.c_sol) ** 2
+    steps = [tuple(pair) for pair in rng.uniform(-2 * math.pi, 2 * math.pi, (10_000, 2))]
+    for length in range(1000, 10_001, 1000):
+        vec = subspace.evolve(5 / 32, steps[:length])
+        norm = abs(vec[0]) ** 2 + abs(vec[1]) ** 2
         assert abs(norm - 1.0) < 1e-12
 
 
 def test_run_schedule_empty_returns_initial_state():
     out = subspace.run_schedule(3, 8, PhaseSchedule(()))
-    ref = subspace.initial_state(3, 8)
-    assert out.c_ns == pytest.approx(ref.c_ns)
-    assert out.c_sol == pytest.approx(ref.c_sol)
+    assert out.c_ns == pytest.approx(math.sqrt(5 / 8))
+    assert out.c_sol == pytest.approx(math.sqrt(3 / 8))
 
 
 def test_run_schedule_standard_cases():
@@ -185,7 +188,7 @@ def test_bloch_poles_and_initial_state():
     assert (v.x, v.y, v.z) == (0.0, 0.0, pytest.approx(-1.0))
     v = subspace.bloch_from_state(subspace.SubspaceState(0.0, 1.0, 3, 8))
     assert v.z == pytest.approx(1.0)
-    v = subspace.bloch_from_state(subspace.initial_state(1, 4))
+    v = subspace.bloch_from_state(uniform(1, 4))
     assert v.x == pytest.approx(math.sqrt(3) / 2)
     assert v.y == pytest.approx(0.0)
     assert v.z == pytest.approx(-0.5)

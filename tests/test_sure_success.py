@@ -8,7 +8,6 @@ from groverweight.errors import (
     GeometryInfeasibleError,
     GroverWeightError,
     IndistinguishablePairError,
-    InfeasiblePhaseError,
     ParameterError,
 )
 from groverweight.oracle import make_random_oracle
@@ -159,14 +158,10 @@ def test_theta1_rotation_lands_on_cross_point():
 
 
 def test_theta2_boundary_is_pi_exactly():
-    theta2 = sure_success.solve_theta2(2, 2 * math.pi / 5, 0.0)
-    assert abs(abs(theta2) - math.pi) < 1e-12
-
-
-def test_theta2_degenerate_denominator_raises():
-    # k = 2, beta = pi/4 zeroes cos(beta)cos(2 beta) - cos(2 beta)
-    with pytest.raises(InfeasiblePhaseError):
-        sure_success.solve_theta2(2, math.pi / 4, 0.1)
+    # w = mu_2 puts the k = 2 cross point at y = 0 (beta = 2 pi / 5).
+    plan = sure_success.plan_for_weight(subspace.mu(2))
+    assert plan.k == 2
+    assert abs(abs(plan.theta2) - math.pi) < 1e-12
 
 
 def test_plan_certainty_for_spec_scale_cases():

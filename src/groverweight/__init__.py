@@ -6,14 +6,13 @@ classical majority-vote baseline and the quantum-counting alternative,
 plus a CLI that reproduces the quantitative claims.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .oracle import BooleanOracle, from_bits, from_hex, make_random_oracle, round_weight
 from .subspace import (
     BlochVector,
     PhaseSchedule,
     bloch_from_state,
-    closed_form_amplitudes,
     mu,
     recurrence_amplitudes,
     roots,

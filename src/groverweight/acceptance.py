@@ -112,10 +112,10 @@ def _criterion_2() -> tuple[bool, str]:
         )
         schedule = subspace.PhaseSchedule(steps)
         sv_dist = measure_distribution(run_full_schedule(oracle, schedule))
-        state = subspace.run_schedule(t, size, schedule)
+        p_zero, p_one = decision.class_probabilities(t / size, schedule)
         induced = np.empty(size)
-        induced[oracle.zeros] = (1.0 - state.solution_probability) / (size - t)
-        induced[oracle.ones] = state.solution_probability / t
+        induced[oracle.zeros] = p_zero / (size - t)
+        induced[oracle.ones] = p_one / t
         worst = max(worst, 0.5 * float(np.abs(sv_dist - induced).sum()))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 30.0

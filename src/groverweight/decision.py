@@ -3,7 +3,7 @@
 Implements the one-shot N/4 vs 3N/4 discriminator and its k-iteration
 generalization for the promise pair (round(mu_k * N), round((1-mu_k) * N)),
 including the parity-based inference rule and the exact success
-probability evaluated from the amplitude recurrence.
+probability; every class probability comes from `class_probabilities`.
 
 Oracle-call accounting: reported counts include the single classical
 verification query f(x_hat) on top of the k phase queries, so a k-iteration
@@ -85,16 +85,14 @@ def correct_probability(k: int, small: bool, p_zero: float, p_one: float) -> flo
     return p_one if names_small_on_one == small else p_zero
 
 
-def _class_probabilities(oracle: BooleanOracle, k: int) -> tuple[float, float]:
-    """(P(f=0 outcome), P(f=1 outcome)) after k standard iterations."""
-    t, size = oracle.t, oracle.size
-    if t == 0:
-        return 1.0, 0.0
-    if t == size:
-        return 0.0, 1.0
-    state = subspace.run_schedule(t, size, subspace.PhaseSchedule.standard(k))
-    p_sol = state.solution_probability
-    return 1.0 - p_sol, p_sol
+def class_probabilities(u: float, schedule: subspace.PhaseSchedule) -> tuple[float, float]:
+    """(P(f=0 outcome), P(f=1 outcome)) after a phase schedule at weight fraction u.
+
+    p_zero is taken as 1 - p_one so the pair sums to one exactly; after
+    standard iterations p_one is exactly 0 at u = 0 and 1 at u = 1.
+    """
+    p_one = abs(subspace.evolve(u, schedule)[1]) ** 2
+    return 1.0 - p_one, p_one
 
 
 def _sample_outcome(oracle: BooleanOracle, p_sol: float, rng: np.random.Generator) -> tuple[int, int]:
@@ -152,7 +150,7 @@ def randomized_weight_decision(
     if k < 1:
         raise ParameterError("k must be >= 1")
     pair = PromisePair.for_iterations(k, oracle.size)
-    _, p_sol = _class_probabilities(oracle, k)
+    _, p_sol = class_probabilities(oracle.t / oracle.size, subspace.PhaseSchedule.standard(k))
     x_hat, f_bit = _sample_outcome(oracle, p_sol, rng)
     inferred = infer_from_bit(k, f_bit, pair.t_small, pair.t_big)
     correct = inferred == oracle.t
@@ -172,16 +170,13 @@ def randomized_weight_decision(
 def exact_success_probability(k: int, t: int, size: int) -> float:
     """Probability that the parity rule names the true weight; no sampling.
 
-    Evaluated from the amplitude recurrence: with per-state amplitudes
-    a_k/sqrt(N) and b_k/sqrt(N), the f=0 outcome carries (N-t) a_k^2 / N
-    and the f=1 outcome t b_k^2 / N.
+    O(1) in k: the k standard iterations are one closed-form rotation of
+    the invariant plane.
     """
     pair = PromisePair.for_iterations(k, size)
     if t not in pair.weights():
         raise ParameterError(f"weight {t} is not one of the promised pair {pair.weights()}")
-    a, b = subspace.recurrence_amplitudes(k, t / size)
-    p_zero = (size - t) * a * a / size
-    p_one = t * b * b / size
+    p_zero, p_one = class_probabilities(t / size, subspace.PhaseSchedule.standard(k))
     return correct_probability(k, t == pair.t_small, p_zero, p_one)
 
 
@@ -208,6 +203,6 @@ def empirical_success_count(
     pair = PromisePair.for_iterations(k, oracle.size)
     if oracle.t not in pair.weights():
         return 0
-    p_zero, p_one = _class_probabilities(oracle, k)
+    p_zero, p_one = class_probabilities(oracle.t / oracle.size, subspace.PhaseSchedule.standard(k))
     p = correct_probability(k, oracle.t == pair.t_small, p_zero, p_one)
     return int(rng.binomial(trials, p))

@@ -9,9 +9,9 @@ an exact 2x2 unitary.  Two angle conventions appear throughout:
 * Bloch angle         beta_B = 2 * beta_H.
 
 Functions document which one they take.  The amplitude recurrence is this
-module's ground truth; the trigonometric closed forms and root sets follow
-the assignment that agrees with it (a_k tracks the non-solution class, b_k
-the solution class).
+module's ground truth; `evolve`'s closed-form prefix rotation and the root
+sets follow the assignment that agrees with it (a_k tracks the
+non-solution class, b_k the solution class).
 """
 from __future__ import annotations
 
@@ -46,10 +46,6 @@ class SubspaceState:
     def u(self) -> float:
         """Weight fraction t/N."""
         return self.t / self.size
-
-    @property
-    def solution_probability(self) -> float:
-        return abs(self.c_sol) ** 2
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,9 @@ def recurrence_amplitudes(k: int, u: float) -> tuple[float, float]:
     """Per-state class amplitudes after k standard iterations, times sqrt(N).
 
     a_k multiplies every non-solution state, b_k every solution state; the
-    common 1/sqrt(N) factor is carried symbolically.  This recurrence is
-    the ground truth the trigonometric closed forms are checked against.
+    common 1/sqrt(N) factor is carried symbolically.  This O(k) recurrence is
+    the reference for evolve's closed form (a_k cos(b), b_k sin(b)), where
+    a_k = cos((2k+1)b)/cos(b), b_k = sin((2k+1)b)/sin(b), b = beta_H.
     """
     if k < 0:
         raise ParameterError("iteration count must be non-negative")
@@ -174,22 +171,6 @@ def recurrence_amplitudes(k: int, u: float) -> tuple[float, float]:
     for _ in range(k):
         a, b = (1.0 - 2.0 * u) * a - 2.0 * u * b, 2.0 * (1.0 - u) * a + (1.0 - 2.0 * u) * b
     return a, b
-
-
-def closed_form_amplitudes(k: int, u: float) -> tuple[float, float]:
-    """Closed form of the recurrence: a_k = cos((2k+1)b)/cos(b), b_k = sin((2k+1)b)/sin(b).
-
-    b here is the Hilbert half-angle of u.
-    """
-    if k < 0:
-        raise ParameterError("iteration count must be non-negative")
-    if not 0.0 < u < 1.0:
-        raise ParameterError(f"weight fraction {u} outside (0, 1)")
-    beta = hilbert_angle(u)
-    return (
-        math.cos((2 * k + 1) * beta) / math.cos(beta),
-        math.sin((2 * k + 1) * beta) / math.sin(beta),
-    )
 
 
 def roots(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -9,16 +9,16 @@ one shared phase pair.
 
 The theta2 relation is implicit (theta2 appears on both sides), so it is
 rewritten to the linear form A cos(theta2) + B sin(theta2) = C and solved
-in closed form; among the analytic candidates and their sign-flipped
-variants the accepted branch is the first that verifiably drives both
-hypotheses to opposite poles in the exact 2x2 simulation.  No candidate
-verifying is an error, never a silent fallback.
+in closed form.  The one analytic (theta1, theta2) branch is accepted only
+after the exact 2x2 simulation drives both hypotheses to opposite poles;
+a branch that does not verify is an error, never a silent fallback.
 
 Angles here are Bloch angles (twice the Hilbert half-angle).
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +31,13 @@ from .errors import (
     ParameterError,
     PhaseSolutionFailureError,
 )
-from .decision import DecisionOutcome, _sample_outcome, correct_probability, infer_from_bit
+from .decision import DecisionOutcome, _sample_outcome, class_probabilities, correct_probability
+from .decision import infer_from_bit, small_bit
 from .oracle import BooleanOracle, round_weight
 from .subspace import BlochVector, PhaseSchedule
 
 POLE_TOL = 1e-9
+# Floors of the phase-cosine tolerances; _cos_tolerance raises them with k.
 COS_CLAMP = 1e-10
 COS_SNAP = 5e-13
 # Largest iteration count the planner accepts.  Beyond about 2e7 the
@@ -51,9 +53,6 @@ class SureSuccessPlan:
     k: int
     theta1: float
     theta2: float
-    beta_small: float
-    beta_big: float
-    y: float
 
     @property
     def schedule(self) -> PhaseSchedule:
@@ -98,10 +97,15 @@ def select_k(w: float) -> int:
     return k
 
 
-def _snap_cos(value: float) -> float:
+def _cos_tolerance(k: int, floor: float) -> float:
+    """Roundoff allowance of a phase cosine: its error grows like k^2 eps (2.64 k^2 eps seen)."""
+    return max(floor, 4.0 * k * k * sys.float_info.epsilon)
+
+
+def _snap_cos(value: float, k: int) -> float:
     """Clamp a cosine into [-1, 1] and absorb roundoff at the endpoints."""
     value = max(-1.0, min(1.0, value))
-    if 1.0 - abs(value) < COS_SNAP:
+    if 1.0 - abs(value) < _cos_tolerance(k, COS_SNAP):
         return math.copysign(1.0, value)
     return value
 
@@ -112,7 +116,7 @@ def cross_point(k: int, beta: float) -> BlochVector:
     x and z follow the cross-point equations; y is fixed as the positive
     root of 1 - x^2 - z^2 (tiny negative radicands are clamped to zero).
     """
-    sign = -1.0 if k % 2 else 1.0
+    sign = (-1.0) ** small_bit(k)
     x = (math.cos((2 * k - 2) * beta) - sign * math.cos(beta)) / (2.0 * math.sin(beta))
     z = (-math.cos((2 * k - 2) * beta) - sign * math.cos(beta)) / (2.0 * math.cos(beta))
     radicand = 1.0 - x * x - z * z
@@ -124,69 +128,49 @@ def cross_point(k: int, beta: float) -> BlochVector:
 
 
 def solve_theta1(k: int, beta: float) -> float:
-    """First modified diffusion phase, in [0, pi]."""
-    sign = -1.0 if k % 2 else 1.0
+    """First modified diffusion phase, in [0, pi].
+
+    As beta -> 0 the numerator cancels to order beta^2, which adds about
+    eps/|den| of rounding (|cos theta1| = 1.39 at w = 1e-17).
+    """
+    sign = (-1.0) ** small_bit(k)
     num = sign * math.cos(beta) - math.cos(2 * beta) * math.cos((2 * k - 2) * beta)
     den = math.sin(2 * beta) * math.sin((2 * k - 2) * beta)
     value = num / den
-    if abs(value) > 1.0 + COS_CLAMP:
+    allowance = max(_cos_tolerance(k, COS_CLAMP), 4.0 * sys.float_info.epsilon / abs(den))
+    if abs(value) > 1.0 + allowance:
         raise InfeasiblePhaseError(f"|cos theta1| = {abs(value):.6f} > 1 at k = {k}")
-    return math.acos(_snap_cos(value))
+    return math.acos(_snap_cos(value, k))
 
 
-def _theta2_candidates(k: int, beta: float, y: float) -> list[float]:
-    """Closed-form solutions of A cos(theta2) + B sin(theta2) = C."""
-    sign = -1.0 if k % 2 else 1.0
+def _solve_theta2(k: int, beta: float, theta1: float) -> float:
+    """Closed-form solution of A cos(theta2) + B sin(theta2) = C."""
+    sign = (-1.0) ** small_bit(k)
+    y = math.sin(theta1) * math.sin((2 * k - 2) * beta)
     a = math.cos(beta) * math.cos(2 * beta) - sign * math.cos((2 * k - 2) * beta)
     b = -sign * y * math.sin(2 * beta)
     c = -math.sin(2 * beta) * math.sin(beta)
     r = math.hypot(a, b)
-    if r < 1e-15:
-        return []
-    gamma = math.acos(_snap_cos(c / r))
-    delta = math.atan2(b, a)
-    return [delta + gamma, delta - gamma]
-
-
-def _verified(w_small: float, k: int, theta1: float, theta2: float) -> bool:
-    """True iff both hypotheses land on the pole whose verified bit names them."""
-    schedule = PhaseSchedule.sure_success(k, theta1, theta2)
-    for u, small in ((w_small, True), (1.0 - w_small, False)):
-        p_sol = abs(subspace.evolve(u, schedule)[1]) ** 2
-        if not correct_probability(k, small, 1.0 - p_sol, p_sol) >= 1.0 - POLE_TOL:
-            return False
-    return True
+    if r == 0.0:  # only at tiny w, where both hypotheses already sit on their poles
+        return math.pi
+    return math.atan2(b, a) + math.acos(_snap_cos(c / r, k))
 
 
 def plan_for_weight(w: float) -> SureSuccessPlan:
     """Solve the full plan for the promise pair (w, 1-w).
 
-    One plan serves both hypotheses; candidate (theta1, theta2) branches
-    and their sign flips are tried until the exact simulation confirms
-    opposite poles, else the solve fails loudly.
+    One plan serves both hypotheses.  It is returned only if the exact
+    simulation puts both on the pole whose verified bit names them, else
+    the solve fails loudly.
     """
     k = select_k(w)
     w_small = min(w, 1.0 - w)
     beta = 2.0 * math.asin(math.sqrt(w_small))
     theta1 = solve_theta1(k, beta)
-    candidates: list[tuple[float, float]] = []
-    for t1 in (theta1, -theta1):
-        y = math.sin(t1) * math.sin((2 * k - 2) * beta)
-        for t2 in _theta2_candidates(k, beta, y):
-            candidates.append((t1, t2))
-    # Mirror fallback: flipped theta2 with unflipped theta1 and vice versa.
-    candidates.extend([(t1, -t2) for t1, t2 in list(candidates)])
-    for t1, t2 in candidates:
-        if _verified(w_small, k, t1, t2):
-            return SureSuccessPlan(
-                k=k,
-                theta1=t1,
-                theta2=t2,
-                beta_small=beta,
-                beta_big=math.pi - beta,
-                y=math.sin(t1) * math.sin((2 * k - 2) * beta),
-            )
-    raise PhaseSolutionFailureError(f"no verified phase branch for w = {w} (k = {k})")
+    plan = SureSuccessPlan(k=k, theta1=theta1, theta2=_solve_theta2(k, beta, theta1))
+    if not all(p >= 1.0 - POLE_TOL for _, p in hypothesis_report(plan, w_small, 1.0 - w_small)):
+        raise PhaseSolutionFailureError(f"phase branch does not verify for w = {w} (k = {k})")
+    return plan
 
 
 def hypothesis_report(plan: SureSuccessPlan, u_small: float, u_big: float):
@@ -199,10 +183,8 @@ def hypothesis_report(plan: SureSuccessPlan, u_small: float, u_big: float):
     schedule = plan.schedule
     out = []
     for u, small in ((u_small, True), (u_big, False)):
-        vec = subspace.evolve(u, schedule)
-        z = abs(vec[1]) ** 2 - abs(vec[0]) ** 2
-        p_sol = abs(vec[1]) ** 2
-        out.append((z, correct_probability(plan.k, small, 1.0 - p_sol, p_sol)))
+        p_zero, p_one = class_probabilities(u, schedule)
+        out.append((p_one - p_zero, correct_probability(plan.k, small, p_zero, p_one)))
     return out
 
 
@@ -219,8 +201,8 @@ def sure_success_decide(
     size = oracle.size
     t_small = round_weight(min(w, 1.0 - w), size)
     t_big = round_weight(max(w, 1.0 - w), size)
-    vec = subspace.evolve(oracle.t / size, plan.schedule)
-    x_hat, f_bit = _sample_outcome(oracle, abs(vec[1]) ** 2, rng)
+    _, p_sol = class_probabilities(oracle.t / size, plan.schedule)
+    x_hat, f_bit = _sample_outcome(oracle, p_sol, rng)
     inferred = infer_from_bit(plan.k, f_bit, t_small, t_big)
     return DecisionOutcome(
         measured_x=x_hat,

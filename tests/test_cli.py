@@ -69,8 +69,7 @@ def test_randomized_successes_are_the_seeded_binomial_draw():
     for row in rows:
         t = int(row[2])
         assert float(row[header.index("exact_p")]) < 0.99
-        state = subspace.run_schedule(t, 16, subspace.PhaseSchedule.standard(2))
-        p_sol = state.solution_probability
+        p_sol = abs(subspace.run_schedule(t, 16, subspace.PhaseSchedule.standard(2)).c_sol) ** 2
         p = decision.correct_probability(2, t == 6, 1.0 - p_sol, p_sol)
         assert int(row[header.index("successes")]) == np.random.default_rng(5).binomial(5000, p)
     # one weight alone gives the same row as in the pair

@@ -139,3 +139,53 @@ def test_oracle_call_count_includes_verification_query():
     orc = make_random_oracle(6, decision.PromisePair.for_iterations(3, 64).t_small, seed=8)
     out = decision.randomized_weight_decision(orc, 3, np.random.default_rng(0))
     assert out.oracle_calls == 4
+
+
+def recurrence_success_probability(k, t, size):
+    """Independent reference: the O(k) amplitude recurrence and the parity rule."""
+    pair = decision.PromisePair.for_iterations(k, size)
+    a, b = subspace.recurrence_amplitudes(k, t / size)
+    p_zero, p_one = (size - t) * a * a / size, t * b * b / size
+    return decision.correct_probability(k, t == pair.t_small, p_zero, p_one)
+
+
+def test_exact_probability_matches_recurrence_and_bound_at_large_sizes():
+    ks = sorted({int(k) for k in np.geomspace(1, 1000, 25)})
+    for n in range(20, 31):
+        size = 1 << n
+        for k in ks:
+            pair = decision.PromisePair.for_iterations(k, size)
+            bound = decision.theorem_bound(k, size)
+            for t in pair.weights():
+                exact = decision.exact_success_probability(k, t, size)
+                assert exact >= bound, (n, k, t)
+                assert abs(exact - recurrence_success_probability(k, t, size)) <= 1e-12, (n, k, t)
+
+
+def test_exact_probability_meets_bound_at_the_three_quarter_root():
+    # the closed form of the recurrence missed this bound by two ulps
+    size = 1 << 30
+    exact = decision.exact_success_probability(1, 3 * size // 4, size)
+    assert exact >= decision.theorem_bound(1, size) == 0.9999999999999998
+    assert exact == 1.0
+
+
+def test_exact_probability_makes_no_o_k_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("O(k) recurrence called")
+
+    monkeypatch.setattr(subspace, "recurrence_amplitudes", refuse)
+    k, size = 10**6, 1 << 30
+    pair = decision.PromisePair.for_iterations(k, size)
+    for t in pair.weights():
+        assert decision.exact_success_probability(k, t, size) >= decision.theorem_bound(k, size)
+
+
+@pytest.mark.parametrize("t", [0, 1 << 6])
+def test_constant_oracles_run_off_the_promise_pair(t):
+    orc = make_random_oracle(6, t, seed=1)
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 5):
+        out = decision.randomized_weight_decision(orc, k, rng)
+        assert out.f_of_x == (1 if t else 0) and not out.correct
+        assert decision.empirical_success_count(orc, k, 1000, rng) == 0

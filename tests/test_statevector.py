@@ -87,10 +87,10 @@ def test_backends_agree_on_random_schedules():
         steps = tuple((float(a), float(b)) for a, b in rng.uniform(-math.pi, math.pi, (length, 2)))
         schedule = PhaseSchedule(steps)
         dist = sv.measure_distribution(sv.run_full_schedule(orc, schedule))
-        state = subspace.run_schedule(t, size, schedule)
+        p_sol = abs(subspace.run_schedule(t, size, schedule).c_sol) ** 2
         induced = np.empty(size)
-        induced[orc.zeros] = (1 - state.solution_probability) / (size - t)
-        induced[orc.ones] = state.solution_probability / t
+        induced[orc.zeros] = (1 - p_sol) / (size - t)
+        induced[orc.ones] = p_sol / t
         assert 0.5 * np.abs(dist - induced).sum() < 1e-9
 
 

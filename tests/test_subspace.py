@@ -119,18 +119,21 @@ def test_recurrence_single_step_matches_direct_formula():
 
 
 def test_closed_form_equals_recurrence_on_grid():
+    # evolve's closed-form prefix is (a_k cos(beta_H), b_k sin(beta_H)) of the recurrence
     worst = 0.0
     for u in np.arange(0.01, 1.0, 0.01):
         u = float(u)
-        a = b = 1.0  # incremental recurrence, checked against the closed form at every k
+        cos_b, sin_b = math.sqrt(1 - u), math.sqrt(u)
+        a = b = 1.0  # incremental recurrence, checked against the plane kernel at every k
         for k in range(0, 201):
-            ca, cb = subspace.closed_form_amplitudes(k, u)
-            worst = max(worst, abs(a - ca), abs(b - cb))
+            c_ns, c_sol = subspace.evolve(u, PhaseSchedule.standard(k))
+            worst = max(worst, abs(a * cos_b - c_ns), abs(b * sin_b - c_sol))
             a, b = (1 - 2 * u) * a - 2 * u * b, 2 * (1 - u) * a + (1 - 2 * u) * b
     assert worst < 1e-10
     # spot-check that the incremental walk above matches the module function
-    assert subspace.recurrence_amplitudes(200, 0.37) == pytest.approx(
-        subspace.closed_form_amplitudes(200, 0.37), abs=1e-10
+    a, b = subspace.recurrence_amplitudes(200, 0.37)
+    assert subspace.evolve(0.37, PhaseSchedule.standard(200)) == pytest.approx(
+        [a * math.sqrt(0.63), b * math.sqrt(0.37)], abs=1e-10
     )
 
 

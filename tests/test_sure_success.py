@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groverweight import statevector, subspace, sure_success
 from groverweight.errors import (
@@ -9,6 +11,7 @@ from groverweight.errors import (
     GroverWeightError,
     IndistinguishablePairError,
     ParameterError,
+    PhaseSolutionFailureError,
 )
 from groverweight.oracle import make_random_oracle
 from groverweight.subspace import PhaseSchedule
@@ -192,6 +195,54 @@ def test_boundary_weights_degenerate_to_standard_grover():
         assert plan.k == k
         assert abs(abs(plan.theta1) - math.pi) < 1e-9
         assert abs(abs(plan.theta2) - math.pi) < 1e-9
+
+
+def test_every_mu_k_plans_and_verifies():
+    # the phase cosines' roundoff grows like k^2 eps; fixed tolerances failed from k = 626
+    for k in range(2, 10_001):
+        w = subspace.mu(k)
+        plan = sure_success.plan_for_weight(w)
+        assert plan.k == k
+        for _, p_correct in sure_success.hypothesis_report(plan, w, 1.0 - w):
+            assert p_correct >= 1 - 1e-9, k
+
+
+def test_plan_refuses_a_branch_that_does_not_verify(monkeypatch):
+    real = sure_success._solve_theta2
+    monkeypatch.setattr(sure_success, "_solve_theta2", lambda *args: real(*args) + 0.5)
+    with pytest.raises(PhaseSolutionFailureError):
+        sure_success.plan_for_weight(0.3)
+
+
+# The fraction nearest 1/2 that plans is mu(MAX_K); the gaps stay just outside it.
+_MIN_GAP = 1.001 * (0.5 - subspace.mu(sure_success.MAX_K))
+_GAPS = st.floats(math.log(_MIN_GAP), math.log(0.45)).map(math.exp)
+
+
+def _ulp_neighbours(k):
+    mu = subspace.mu(k)
+    return st.sampled_from([math.nextafter(mu, 0.0), mu, math.nextafter(mu, 1.0)])
+
+
+_WEIGHTS = st.one_of(
+    st.floats(math.log(1e-300), math.log(0.45)).map(math.exp),  # toward 0
+    _GAPS.map(lambda gap: 0.5 - gap),  # toward 1/2 from below
+    _GAPS.map(lambda gap: 0.5 + gap),  # and from above
+    st.integers(2, sure_success.MAX_K - 1).flatmap(_ulp_neighbours),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(w=_WEIGHTS)
+@example(w=1e-17)  # |cos theta1| rounded to 1.39
+@example(w=1e-16)  # the theta2 coefficients fell below a fixed 1e-15 guard
+@example(w=5e-324)
+def test_planner_property_every_weight_plans(w):
+    plan = sure_success.plan_for_weight(w)
+    assert 2 <= plan.k <= sure_success.MAX_K
+    w_small = min(w, 1.0 - w)
+    for _, p_correct in sure_success.hypothesis_report(plan, w_small, 1.0 - w_small):
+        assert p_correct >= 1 - 1e-9
 
 
 def test_plan_survives_theta2_degenerate_weight():

@@ -6,7 +6,7 @@ classical majority-vote baseline and the quantum-counting alternative,
 plus a CLI that reproduces the quantitative claims.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .oracle import BooleanOracle, from_bits, from_hex, make_random_oracle, round_weight
 from .subspace import (

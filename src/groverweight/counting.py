@@ -25,6 +25,7 @@ from .errors import ParameterError, PlanningError, PromiseViolationError
 from .oracle import BooleanOracle, round_weight
 
 SUPPORT_TOL = 1e-12
+MAX_P = 10**6  # compute budget of the register: P points per distribution
 
 
 def _as_fraction(a) -> Fraction:
@@ -82,15 +83,26 @@ def _dirichlet_kernel(x: np.ndarray, points: int) -> np.ndarray:
     return np.where(near, 1.0, value)
 
 
+def _check_register(points: int) -> None:
+    if points > MAX_P:
+        raise ParameterError(f"register size P = {points} exceeds the compute budget MAX_P = {MAX_P}")
+
+
+def _register_probabilities(u: float, values: np.ndarray, points: int) -> np.ndarray:
+    """Probabilities of the given register values for weight fraction u."""
+    omega = 2.0 * math.asin(math.sqrt(u))
+    xs = 2.0 * math.pi * values / points
+    return 0.5 * (_dirichlet_kernel(xs + omega, points) + _dirichlet_kernel(xs - omega, points))
+
+
 def phase_distribution(u: float, points: int) -> np.ndarray:
     """Exact register distribution for weight fraction u and P-point register."""
     if points < 2:
         raise ParameterError("register size must be >= 2")
+    _check_register(points)
     if not 0.0 <= u <= 1.0:
         raise ParameterError(f"weight fraction {u} outside [0, 1]")
-    omega = 2.0 * math.asin(math.sqrt(u))
-    xs = 2.0 * math.pi * np.arange(points) / points
-    return 0.5 * (_dirichlet_kernel(xs + omega, points) + _dirichlet_kernel(xs - omega, points))
+    return _register_probabilities(u, np.arange(points), points)
 
 
 def counting_distribution(t: float, size: int, points: int) -> np.ndarray:
@@ -127,6 +139,7 @@ def plan_check_weight(a, multiplier: int = 1) -> CountingPlan:
     if p_exact.denominator != 1:
         raise PlanningError(f"P = {multiplier} * {frac} is not an integer")
     points = int(p_exact)
+    _check_register(points)
     hyp = Hypothesis(a=frac, weight=weight_of(frac), k=multiplier)
     return CountingPlan(P=points, hypotheses=(hyp,), total_oracle_calls=points - 1)
 
@@ -145,6 +158,7 @@ def plan_n_weights(a_list) -> CountingPlan:
     points = 1
     for frac in fracs:
         points = points * frac.numerator // math.gcd(points, frac.numerator)
+    _check_register(points)
     hyps = tuple(
         Hypothesis(a=frac, weight=weight_of(frac), k=int(points / frac))
         for frac in fracs
@@ -195,13 +209,13 @@ def hypothesis_success_probability(plan: CountingPlan, index: int) -> float:
     depends on the weight fraction alone.
     """
     hyp = plan.hypotheses[index]
-    dist = phase_distribution(hyp.weight, plan.P)
     target = min(hyp.k, plan.P - hyp.k)
     # The register values that fold to target: target itself and, unless
     # target = P/2, its mirror P - target (summed in ascending order).
-    mass = float(dist[target])
+    target_mass, mirror_mass = _register_probabilities(hyp.weight, np.array([target, plan.P - target]), plan.P)
+    mass = float(target_mass)
     if target < plan.P / 2:
-        mass += float(dist[plan.P - target])
+        mass += float(mirror_mass)
     return mass
 
 

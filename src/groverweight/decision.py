@@ -96,8 +96,15 @@ def class_probabilities(u: float, schedule: subspace.PhaseSchedule) -> tuple[flo
 
 
 def _sample_outcome(oracle: BooleanOracle, p_sol: float, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw x_hat: Bernoulli on the class, then uniform within the class."""
+    """Draw x_hat: Bernoulli on the class, then uniform within the class.
+
+    At t in {0, N} one class is empty; rounding can leave it an ulp of
+    probability, so the other class is taken (the Bernoulli draw is still
+    made, keeping the random stream as for any other weight).
+    """
     in_solution = rng.random() < p_sol
+    if not 0 < oracle.t < oracle.size:
+        in_solution = oracle.t > 0
     pool = oracle.ones if in_solution else oracle.zeros
     x_hat = int(pool[rng.integers(len(pool))])
     return x_hat, int(in_solution)

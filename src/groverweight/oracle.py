@@ -63,9 +63,8 @@ class BooleanOracle:
 
     def to_hex(self) -> str:
         """Truth table as a hex string; most-significant bit is x = N-1."""
-        value = 0
-        for x in self.ones:
-            value |= 1 << int(x)
+        packed = np.packbits(self.bits, bitorder="little").tobytes()
+        value = int.from_bytes(packed, "little")
         width = max(1, (self.size + 3) // 4)
         return format(value, f"0{width}x")
 
@@ -80,21 +79,27 @@ def from_bits(bits) -> BooleanOracle:
 
 
 def from_hex(n: int, text: str) -> BooleanOracle:
-    """Inverse of :meth:`BooleanOracle.to_hex`."""
+    """Inverse of :meth:`BooleanOracle.to_hex`.
+
+    n is checked before anything of size 2^n is allocated.
+    """
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ParameterError(f"n must be in [1, {MAX_VARIABLES}], got {n}")
     value = int(text, 16)
     size = 1 << n
     if value >> size:
         raise ParameterError("hex string encodes more bits than 2^n")
-    bits = np.fromiter(((value >> x) & 1 for x in range(size)), dtype=np.uint8, count=size)
+    packed = np.frombuffer(value.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(packed, bitorder="little")[:size]
     return BooleanOracle(n=n, bits=bits, t=int(bits.sum()))
 
 
 def make_random_oracle(n: int, t: int, seed: int) -> BooleanOracle:
     """Uniformly random weight-t function, reproducible from the seed.
 
-    The t solution positions are drawn by a partial Fisher-Yates pass over
-    the index array, so the same (n, t, seed) always yields the identical
-    table.
+    The solution positions (or, for t > N/2, the non-solution positions)
+    are one draw without replacement from range(N), so the same
+    (n, t, seed) always yields the identical table.
     """
     if not 1 <= n <= MAX_VARIABLES:
         raise ParameterError(f"n must be in [1, {MAX_VARIABLES}], got {n}")
@@ -102,16 +107,10 @@ def make_random_oracle(n: int, t: int, seed: int) -> BooleanOracle:
     if not 0 <= t <= size:
         raise WeightOutOfRangeError(f"weight {t} outside [0, {size}]")
     rng = np.random.default_rng(seed)
-    # Selecting the complement keeps the pass length at most N/2.
+    # Selecting the complement keeps the draw at most N/2 positions long.
     pick, invert = (t, False) if t <= size // 2 else (size - t, True)
-    idx = np.arange(size, dtype=np.int64)
-    if pick:
-        draws = rng.integers(np.arange(pick), size)
-        for i in range(pick):
-            j = int(draws[i])
-            idx[i], idx[j] = idx[j], idx[i]
     bits = np.full(size, invert, dtype=np.uint8)
-    bits[idx[:pick]] = 0 if invert else 1
+    bits[rng.choice(size, pick, replace=False, shuffle=False)] = not invert
     return BooleanOracle(n=n, bits=bits, t=t)
 
 

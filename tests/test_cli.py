@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groverweight import __version__, classical, cli, decision, subspace
+from groverweight import __version__, classical, cli, counting, decision, subspace
 
 
 def run_cli(argv):
@@ -194,6 +194,23 @@ def test_classical_refuses_g_over_budget(monkeypatch):
     code, text = run_cli(["classical", "--k", "3", "--g", "1000001"])
     assert code == 1
     assert text.startswith("parameter error: g = 1000001")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counting", "--t", "8", "--n", "4", "--P", "1000001"],
+        ["counting", "plan", "--weights", "101", "103", "107", "109", "113"],
+    ],
+)
+def test_counting_refuses_registers_over_budget(monkeypatch, argv):
+    def no_register(*args, **kwargs):
+        raise AssertionError("register values built before the budget was checked")
+
+    monkeypatch.setattr(counting.np, "arange", no_register)
+    code, text = run_cli(argv)
+    assert code == 1
+    assert text.startswith("parameter error: register size P = ")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -195,3 +195,17 @@ def test_success_probability_equals_the_folding_loop():
     for plan in plans:
         for i in range(len(plan.hypotheses)):
             assert counting.hypothesis_success_probability(plan, i) == reference_success_probability(plan, i)
+
+
+def test_register_budget_is_checked_before_any_register_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("register values built before the budget was checked")
+
+    monkeypatch.setattr(counting.np, "arange", refuse)
+    with pytest.raises(ParameterError, match="MAX_P"):
+        counting.phase_distribution(0.25, counting.MAX_P + 1)
+    with pytest.raises(ParameterError, match="MAX_P"):
+        counting.plan_n_weights([101, 103, 107, 109, 113])  # P = 13,710,311,357
+    with pytest.raises(ParameterError, match="MAX_P"):
+        counting.plan_check_weight(1001, multiplier=1000)
+    assert counting.plan_check_weight(1000, multiplier=1000).P == counting.MAX_P

@@ -189,3 +189,26 @@ def test_constant_oracles_run_off_the_promise_pair(t):
         out = decision.randomized_weight_decision(orc, k, rng)
         assert out.f_of_x == (1 if t else 0) and not out.correct
         assert decision.empirical_success_count(orc, k, 1000, rng) == 0
+
+
+class _FixedDraw:
+    """Generator stand-in whose uniform draw is a fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+        self.rng = np.random.default_rng(0)
+
+    def random(self):
+        return self.value
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+
+@pytest.mark.parametrize("t, p_sol, draw", [(8, 1.0 - 2.0**-53, 1.0 - 2.0**-53), (0, 2.0**-1074, 0.0)])
+def test_sample_outcome_never_draws_from_the_empty_class(t, p_sol, draw):
+    # A sure-success schedule can leave p_sol one ulp short of 1 at t = N,
+    # and the uniform draw can land in that ulp; the empty class is not used.
+    orc = make_random_oracle(3, t, seed=1)
+    x_hat, f_bit = decision._sample_outcome(orc, p_sol, _FixedDraw(draw))
+    assert f_bit == int(t > 0) == orc.value(x_hat)

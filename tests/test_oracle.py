@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from groverweight import oracle
 from groverweight.errors import ParameterError, WeightOutOfRangeError
@@ -22,11 +23,12 @@ def test_generated_popcount_matches_requested_weight():
 
 
 def test_generation_is_deterministic():
-    a = oracle.make_random_oracle(6, 17, seed=123)
-    b = oracle.make_random_oracle(6, 17, seed=123)
-    assert np.array_equal(a.bits, b.bits)
-    c = oracle.make_random_oracle(6, 17, seed=124)
-    assert not np.array_equal(a.bits, c.bits)
+    for n, t in ((6, 17), (10, 1000)):  # t > N/2 draws the zeros instead
+        a = oracle.make_random_oracle(n, t, seed=123)
+        b = oracle.make_random_oracle(n, t, seed=123)
+        assert np.array_equal(a.bits, b.bits)
+        c = oracle.make_random_oracle(n, t, seed=124)
+        assert not np.array_equal(a.bits, c.bits)
 
 
 def test_weight_out_of_range_rejected():
@@ -104,3 +106,72 @@ def test_tables_are_immutable():
     orc = oracle.make_random_oracle(4, 5, seed=9)
     with pytest.raises(ValueError):
         orc.bits[0] = 1
+
+
+def test_tables_are_uniform_over_all_weight_t_subsets():
+    # n = 3, t = 3: each of the C(8, 3) = 56 tables is equally likely.
+    counts = {}
+    for seed in range(20_000):
+        key = oracle.make_random_oracle(3, 3, seed=seed).bits.tobytes()
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == math.comb(8, 3)
+    assert stats.chisquare(list(counts.values())).pvalue > 1e-4
+
+
+def big_int_from_hex(n, text):
+    """The 0.4.0 decoder, one bit at a time: the reference for from_hex."""
+    value = int(text, 16)
+    size = 1 << n
+    if value >> size:
+        raise ParameterError("hex string encodes more bits than 2^n")
+    bits = np.fromiter(((value >> x) & 1 for x in range(size)), dtype=np.uint8, count=size)
+    return oracle.BooleanOracle(n=n, bits=bits, t=int(bits.sum()))
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (4, "BEEF"), (4, "beef"), (4, "00beef"), (3, " a5\n"), (4, "0xBEEF"), (4, "0X0f"),
+        (1, "3"), (2, "0"), (5, "dead_beef"),
+        (4, "beeg"), (4, "1beef"), (4, ""), (4, "-1"), (2, "0x"), (3, "a 5"),
+    ],
+)
+def test_from_hex_accepts_and_rejects_what_the_big_int_decoder_does(n, text):
+    try:
+        want = big_int_from_hex(n, text)
+    except (ValueError, ParameterError) as exc:
+        with pytest.raises(type(exc)):
+            oracle.from_hex(n, text)
+    else:
+        assert np.array_equal(oracle.from_hex(n, text).bits, want.bits)
+
+
+@pytest.mark.parametrize("n", [0, 25, -1])
+def test_from_hex_checks_n_before_allocating(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2^n-sized buffer was built before n was checked")
+
+    for name in ("frombuffer", "unpackbits", "fromiter"):
+        monkeypatch.setattr(oracle.np, name, refuse)
+    with pytest.raises(ParameterError):
+        oracle.from_hex(n, "1")
+
+
+def test_hex_round_trip_at_22_variables():
+    orc = oracle.make_random_oracle(22, 1 << 20, seed=22)
+    text = orc.to_hex()
+    assert len(text) == 1 << 20
+    assert text == np.packbits(orc.bits, bitorder="little")[::-1].tobytes().hex()
+    back = oracle.from_hex(22, text)
+    assert back.t == orc.t and np.array_equal(back.bits, orc.bits)
+
+
+def test_to_hex_matches_the_packed_bit_reference_for_every_small_table():
+    for n in range(1, 5):
+        size = 1 << n
+        width = max(1, size // 4)
+        for value in range(1 << size):
+            bits = (value >> np.arange(size)) & 1
+            text = oracle.from_bits(bits).to_hex()
+            packed = np.packbits(bits.astype(np.uint8), bitorder="little")[::-1].tobytes().hex()
+            assert text == packed[-width:] == format(value, f"0{width}x")

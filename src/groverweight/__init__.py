@@ -18,15 +18,7 @@ from .subspace import (
     roots,
     run_schedule,
 )
-from .statevector import (
-    StateVector,
-    apply_generalized_diffusion,
-    apply_oracle_phase,
-    deutsch_jozsa,
-    measure_distribution,
-    run_full_schedule,
-    uniform_state,
-)
+from .statevector import StateVector, measure_distribution, run_full_schedule, uniform_state
 from .decision import (
     DecisionOutcome,
     PromisePair,
@@ -44,7 +36,7 @@ from .sure_success import (
     verify_first_cross,
     verify_no_cross,
 )
-from .classical import error_probability, majority_vote_trial, scaling_table
+from .classical import error_probability
 from .counting import (
     CountingPlan,
     cost_comparison,

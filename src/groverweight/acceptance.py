@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, counting, decision, subspace, sure_success
+from .errors import ParameterError
 from .oracle import make_random_oracle, round_weight
 from .statevector import measure_distribution, run_full_schedule
 
@@ -314,4 +315,7 @@ def run_criterion(number: int) -> CriterionResult:
 
 def run_all(numbers=None) -> list[CriterionResult]:
     numbers = sorted(CRITERIA) if numbers is None else list(numbers)
+    unknown = sorted(set(numbers) - CRITERIA.keys())
+    if unknown:
+        raise ParameterError(f"unknown criteria {unknown}; choose from {sorted(CRITERIA)}")
     return [run_criterion(number) for number in numbers]

@@ -2,9 +2,11 @@
 
 Each uniformly random query indicates the true hypothesis of the promise
 pair with probability p = cos^2(pi k / (2(2k+1))); after g (odd) queries
-the vote errs with the binomial tail E(k, g).  The tail is evaluated in
-log space via log-gamma so that g up to 10^6 stays exact to ~1e-12
-relative error; larger g is refused before anything is allocated.
+the vote errs with the binomial tail E(k, g).  The tail is summed in log
+space via log-gamma; against scipy.special.bdtr its relative error was
+at most 5e-12 for g < 10^4, 1.4e-10 at k = 51, g = 132,651 and 1.8e-9 at
+k = 999, g = 998,001, the worst of 94 (k, g) points.  g above MAX_G is
+refused before anything is allocated.
 """
 from __future__ import annotations
 
@@ -54,20 +56,6 @@ def error_probability(k: int, g: int) -> float:
     return float(np.exp(log_terms).sum())
 
 
-def majority_vote_trial(
-    oracle: BooleanOracle, g: int, rng: np.random.Generator, promise: PromisePair
-) -> int:
-    """One vote: g uniform queries with replacement, majority output decides.
-
-    Output one in the majority means the higher weight.
-    """
-    if g < 1 or g % 2 == 0:
-        raise ParameterError(f"query count must be odd and positive, got {g}")
-    idx = rng.integers(0, oracle.size, size=g)
-    ones = int(oracle.bits[idx].sum())
-    return promise.t_big if 2 * ones > g else promise.t_small
-
-
 def empirical_error_rate(
     oracle: BooleanOracle,
     g: int,
@@ -97,13 +85,3 @@ def empirical_error_rate(
 def nearest_odd(value: float) -> int:
     """Nearest odd integer >= 1."""
     return max(1, 2 * int(math.floor((value - 1.0) / 2.0 + 0.5)) + 1)
-
-
-def scaling_table(k_list, exponents) -> list[tuple[int, float, int, float]]:
-    """Rows (k, s, g = nearest odd k^s, E) across the requested regimes."""
-    rows = []
-    for k in k_list:
-        for s in exponents:
-            g = nearest_odd(float(k) ** float(s))
-            rows.append((k, float(s), g, error_probability(k, g)))
-    return rows

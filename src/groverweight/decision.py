@@ -142,36 +142,42 @@ def distinguish_quarter(oracle: BooleanOracle, rng: np.random.Generator | None =
     )
 
 
-def randomized_weight_decision(
+def run_and_infer(
     oracle: BooleanOracle,
-    k: int,
+    schedule: subspace.PhaseSchedule,
+    t_small: int,
+    t_big: int,
     rng: np.random.Generator,
-    strict: bool = False,
 ) -> DecisionOutcome:
-    """k standard iterations, one sampled measurement, one verified bit.
+    """Run a k-step schedule, measure once, verify one bit, infer by parity.
 
-    The inference rule is total, so an off-promise oracle still yields an
-    answer; with strict=True a mismatch against the oracle's cached weight
-    raises instead.
+    The one decision path of the randomized and sure-success algorithms;
+    the measurement is sampled from the exact class probabilities at the
+    oracle's own weight, and the run costs k phase queries plus f(x_hat).
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    pair = PromisePair.for_iterations(k, oracle.size)
-    _, p_sol = class_probabilities(oracle.t / oracle.size, subspace.PhaseSchedule.standard(k))
+    k = len(schedule)
+    _, p_sol = class_probabilities(oracle.t / oracle.size, schedule)
     x_hat, f_bit = _sample_outcome(oracle, p_sol, rng)
-    inferred = infer_from_bit(k, f_bit, pair.t_small, pair.t_big)
-    correct = inferred == oracle.t
-    if strict and not correct:
-        raise PromiseViolationError(
-            f"inferred weight {inferred} does not match oracle weight {oracle.t}"
-        )
+    inferred = infer_from_bit(k, f_bit, t_small, t_big)
     return DecisionOutcome(
         measured_x=x_hat,
         f_of_x=f_bit,
         inferred_t=inferred,
-        correct=correct,
+        correct=inferred == oracle.t,
         oracle_calls=k + 1,
     )
+
+
+def randomized_weight_decision(
+    oracle: BooleanOracle, k: int, rng: np.random.Generator
+) -> DecisionOutcome:
+    """k standard iterations, one sampled measurement, one verified bit.
+
+    The inference rule is total, so an off-promise oracle still yields an
+    answer, with correct=False.
+    """
+    pair = PromisePair.for_iterations(k, oracle.size)
+    return run_and_infer(oracle, subspace.PhaseSchedule.standard(k), pair.t_small, pair.t_big, rng)
 
 
 def exact_success_probability(k: int, t: int, size: int) -> float:

@@ -42,11 +42,6 @@ class SubspaceState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ParameterError(f"state not normalized: |c|^2 = {norm}")
 
-    @property
-    def u(self) -> float:
-        """Weight fraction t/N."""
-        return self.t / self.size
-
 
 @dataclass(frozen=True)
 class BlochVector:

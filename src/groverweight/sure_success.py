@@ -31,8 +31,8 @@ from .errors import (
     ParameterError,
     PhaseSolutionFailureError,
 )
-from .decision import DecisionOutcome, _sample_outcome, class_probabilities, correct_probability
-from .decision import infer_from_bit, small_bit
+from .decision import DecisionOutcome, class_probabilities, correct_probability, run_and_infer
+from .decision import small_bit
 from .oracle import BooleanOracle, round_weight
 from .subspace import BlochVector, PhaseSchedule
 
@@ -57,10 +57,6 @@ class SureSuccessPlan:
     @property
     def schedule(self) -> PhaseSchedule:
         return PhaseSchedule.sure_success(self.k, self.theta1, self.theta2)
-
-    @property
-    def oracle_calls(self) -> int:
-        return self.k + 1
 
 
 def select_k(w: float) -> int:
@@ -201,16 +197,7 @@ def sure_success_decide(
     size = oracle.size
     t_small = round_weight(min(w, 1.0 - w), size)
     t_big = round_weight(max(w, 1.0 - w), size)
-    _, p_sol = class_probabilities(oracle.t / size, plan.schedule)
-    x_hat, f_bit = _sample_outcome(oracle, p_sol, rng)
-    inferred = infer_from_bit(plan.k, f_bit, t_small, t_big)
-    return DecisionOutcome(
-        measured_x=x_hat,
-        f_of_x=f_bit,
-        inferred_t=inferred,
-        correct=inferred == oracle.t,
-        oracle_calls=plan.oracle_calls,
-    )
+    return run_and_infer(oracle, plan.schedule, t_small, t_big, rng)
 
 
 def verify_no_cross(k: int, beta: float) -> bool:

@@ -50,33 +50,31 @@ def test_linear_regime_approaches_half_from_below():
 
 
 def test_majority_vote_trial_basics():
+    # every query of a constant oracle agrees, so the vote names its weight
     size = 1 << 6
-    pair = decision.PromisePair.for_iterations(1, size)
-    all_ones = make_random_oracle(6, size, seed=0)
+    constants = decision.PromisePair(size=size, t_small=0, t_big=size, k=1)
     rng = np.random.default_rng(0)
-    assert all(
-        classical.majority_vote_trial(all_ones, g, rng, pair) == pair.t_big
-        for g in (1, 3, 9)
-    )
+    for t in (0, size):
+        orc = make_random_oracle(6, t, seed=0)
+        for g in (1, 3, 9):
+            assert classical.empirical_error_rate(orc, g, 50, rng, constants) == 0.0
     with pytest.raises(ParameterError):
-        classical.majority_vote_trial(all_ones, 2, rng, pair)
+        classical.empirical_error_rate(orc, 2, 50, rng, constants)
+    with pytest.raises(ParameterError):
+        classical.empirical_error_rate(orc, 3, 0, rng, constants)
 
 
 def test_single_query_vote_on_near_constant_oracle():
-    # weight 1: a single query says t_small with probability (N-1)/N
+    # weight 1 vs N - 1: a single query errs exactly when it hits the one solution
     n = 6
     size = 1 << n
     orc = make_random_oracle(n, 1, seed=1)
-    pair = decision.PromisePair.for_iterations(1, size)
-    rng = np.random.default_rng(7)
+    pair = decision.PromisePair(size=size, t_small=1, t_big=size - 1, k=1)
     trials = 20_000
-    hits = sum(
-        classical.majority_vote_trial(orc, 1, rng, pair) == pair.t_small
-        for _ in range(trials)
-    )
-    expect = (size - 1) / size
+    rate = classical.empirical_error_rate(orc, 1, trials, np.random.default_rng(7), pair)
+    expect = 1 / size
     sigma = math.sqrt(expect * (1 - expect) / trials)
-    assert abs(hits / trials - expect) <= 4 * sigma
+    assert abs(rate - expect) <= 4 * sigma
 
 
 def test_empirical_error_matches_exact_formula():
@@ -93,14 +91,14 @@ def test_empirical_error_matches_exact_formula():
 
 
 def test_scaling_table_regimes():
-    rows = classical.scaling_table([51], [1, 2])
-    by_s = {s: e for (_, s, _, e) in rows}
-    assert abs(by_s[1] - 0.5) < 0.05
-    assert abs(by_s[2] - 0.216) < 0.02
-    rows = classical.scaling_table([11], [3])
-    assert rows[0][2] == 1331 and rows[0][3] < 0.01
+    def regime(k, s):
+        return classical.error_probability(k, classical.nearest_odd(float(k) ** s))
+
+    assert abs(regime(51, 1) - 0.5) < 0.05
+    assert abs(regime(51, 2) - 0.216) < 0.02
+    assert classical.nearest_odd(11.0**3) == 1331 and regime(11, 3) < 0.01
     with pytest.raises(ParameterError):
-        classical.scaling_table([101], [3])  # over the 1e6 budget
+        regime(101, 3)  # over the 1e6 budget
 
 
 def test_error_probability_budget():

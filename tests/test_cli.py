@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groverweight import __version__, classical, cli, counting, decision, subspace
+from groverweight import __version__, acceptance, classical, cli, counting, decision, oracle, subspace
 
 
 def run_cli(argv):
@@ -88,24 +88,34 @@ def test_json_mirrors_csv_content():
     assert payload["metadata"]["command"] == "compare"
 
 
+REPORT_COMMANDS = [
+    ["roots", "--k", "3"],
+    ["mu", "--k-max", "5"],
+    ["distinguish", "--n", "4", "--t", "4", "--seed", "3"],
+    ["randomized", "--n", "8", "--k", "2", "--trials", "1000", "--seed", "0"],
+    ["sure-success", "--n", "6", "--w", "1/4", "--w", "3/10"],
+    ["classical", "--k", "3", "--g", "3", "--n", "10", "--trials", "2000"],
+    ["counting", "--t", "8", "--n", "4", "--P", "8"],
+    ["counting", "plan", "--weights", "4", "6"],
+    ["compare", "--k-max", "4"],
+]
+
+
 def test_verify_accepts_every_emitted_report(tmp_path):
-    commands = [
-        ["roots", "--k", "3"],
-        ["mu", "--k-max", "5"],
-        ["distinguish", "--n", "4", "--t", "4", "--seed", "3"],
-        ["randomized", "--n", "8", "--k", "2", "--trials", "1000", "--seed", "0"],
-        ["sure-success", "--n", "6", "--w", "1/4", "--w", "3/10"],
-        ["classical", "--k", "3", "--g", "3", "--n", "10", "--trials", "2000"],
-        ["counting", "--t", "8", "--n", "4", "--P", "8"],
-        ["counting", "plan", "--weights", "4", "6"],
-        ["compare", "--k-max", "4"],
-    ]
-    for i, argv in enumerate(commands):
+    for i, argv in enumerate(REPORT_COMMANDS):
         path = tmp_path / f"report{i}.csv"
         code, _ = run_cli(argv + ["--out", str(path)])
         assert code == 0, argv
         code, text = run_cli(["--verify", str(path)])
         assert code == 0 and text.startswith("valid"), (argv, text)
+
+
+def test_unwritable_output_is_one_error_line(tmp_path):
+    target = tmp_path / "missing" / "x"
+    runs = [argv + ["--out", str(target)] for argv in REPORT_COMMANDS]
+    runs.append(["distinguish", "--n", "4", "--t", "4", "--dump-distribution", str(target)])
+    for argv in runs:
+        assert run_cli(argv) == (1, f"cannot write {target}: No such file or directory\n"), argv
 
 
 def test_verify_rejects_garbage(tmp_path):
@@ -233,6 +243,28 @@ def test_selftest_subset_passes():
     assert "criterion 3" in text and "criterion 8" in text
 
 
+def test_selftest_rejects_unknown_criteria_before_running_any(monkeypatch):
+    def no_run(number):
+        raise AssertionError(f"criterion {number} ran")
+
+    monkeypatch.setattr(acceptance, "run_criterion", no_run)
+    code, text = run_cli(["selftest", "--criteria", "3", "42"])
+    assert code == 1
+    assert text.startswith("parameter error: unknown criteria [42]")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classical", "--k", "5", "--g", "3", "--trials", "-5"], "trials must be >= 0, got -5"),
+        (["sure-success", "--n", "0", "--w", "1/3"], "n must be >= 1, got 0"),
+    ],
+    ids=["classical-negative-trials", "sure-success-n-0"],
+)
+def test_rows_outside_the_domain_are_parameter_errors(argv, message):
+    assert run_cli(argv) == (1, f"parameter error: {message}\n")
+
+
 def test_distinguish_oracle_hex_round_trip(tmp_path):
     code, text = run_cli(["distinguish", "--n", "4", "--t", "4", "--seed", "2"])
     assert code == 0
@@ -280,6 +312,39 @@ def test_randomized_rejects_non_positive_trials(monkeypatch, trials):
     code, text = run_cli(["randomized", "--n", "8", "--k", "2", "--trials", trials, "--seed", "0"])
     assert code == 1
     assert text.startswith("parameter error: trials")
+
+
+def test_randomized_builds_no_truth_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("randomized built a truth table")
+
+    monkeypatch.setattr(cli, "make_random_oracle", no_table)
+    monkeypatch.setattr(oracle, "make_random_oracle", no_table)
+    code, text = run_cli(["randomized", "--n", "24", "--k", "5"])
+    assert code == 0 and parse_report(text)[0]["n"] == "24"
+    assert run_cli(["randomized", "--n", "25", "--k", "5"]) == (
+        1,
+        "parameter error: n must be in [1, 24], got 25\n",
+    )
+
+
+README_RANDOMIZED = """\
+# command = randomized
+# version = *
+# n = 12
+# k = 5
+# trials = 100000
+# seed = 1
+n,k,true_t,trials,successes,exact_p,bound_p
+12,5,1757,100000,100000,0.999998437064176,0.999862670898438
+12,5,2339,100000,100000,0.999998437064176,0.999862670898438
+"""
+
+
+def test_readme_randomized_command_prints_the_0_5_0_bytes():
+    code, text = run_cli(["randomized", "--n", "12", "--k", "5", "--trials", "100000", "--seed", "1"])
+    assert code == 0
+    assert re.sub(r"^# version = .*$", "# version = *", text, flags=re.M) == README_RANDOMIZED
 
 
 def test_package_and_project_versions_agree():

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import classical, counting, decision, subspace, sure_success
 from .errors import ParameterError
-from .oracle import make_random_oracle, round_weight
+from .oracle import make_random_oracle
 from .statevector import measure_distribution, run_full_schedule
+from .subspace import round_weight
 
 # Published root table (six decimals): zeros of the non-solution-class
 # amplitude on the first line of each k, solution-class zeros on the second.

@@ -16,16 +16,23 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, acceptance, classical, counting, decision, subspace, sure_success
+from . import __version__, counting, decision, subspace, sure_success
 from .errors import (
     GroverWeightError,
     ParameterError,
     PhaseSolutionFailureError,
 )
-from .oracle import MAX_VARIABLES, from_hex, make_random_oracle, round_weight
-from .statevector import measure_distribution, run_full_schedule
+from .subspace import round_weight
+
+# numpy is imported inside the commands that use it (scipy only inside
+# classical.error_probability), so that roots, mu, compare, sure-success,
+# counting plan and --verify start without either.
+#
+# Budgets, checked before anything of their size is built: the rows of a
+# closed-form table (roots, mu, compare) and the n of the commands that
+# need only N = 2^n as a float (beyond 1023, N overflows a double).
+MAX_ROWS = 10**6
+MAX_N = sys.float_info.max_exp - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +95,22 @@ def _parse_fraction(text: str) -> Fraction:
     return frac
 
 
+def _check_rows(rows: int, what: str) -> None:
+    if rows > MAX_ROWS:
+        raise ParameterError(f"{what} needs {rows} rows, over the budget MAX_ROWS = {MAX_ROWS}")
+
+
+def _domain_size(n: int) -> int:
+    """N = 2^n for the commands that use N only as a float."""
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if n > MAX_N:
+        raise ParameterError(f"n = {n} exceeds the budget MAX_N = {MAX_N}: 2^n overflows a float")
+    return 1 << n
+
+
 def _cmd_roots(args, stdout) -> int:
+    _check_rows(2 * args.k, f"k = {args.k}")
     a_roots, b_roots = subspace.roots(args.k)
     rows = [(args.k, "a", i + 1, r) for i, r in enumerate(a_roots)]
     rows += [(args.k, "b", i + 1, r) for i, r in enumerate(b_roots)]
@@ -99,13 +121,22 @@ def _cmd_roots(args, stdout) -> int:
 
 
 def _cmd_mu(args, stdout) -> int:
-    ks = [args.k] if args.k is not None else list(range(1, args.k_max + 1))
+    if args.k is not None:
+        ks = [args.k]
+    else:
+        _check_rows(args.k_max, f"k_max = {args.k_max}")
+        ks = list(range(1, args.k_max + 1))
     rows = [(k, subspace.mu(k)) for k in ks]
     Report("mu", {"k_max": max(ks)}, ["k", "mu"], rows).emit(args.out, args.format, stdout)
     return 0
 
 
 def _cmd_distinguish(args, stdout) -> int:
+    import numpy as np
+
+    from .oracle import from_hex, make_random_oracle
+    from .statevector import measure_distribution, run_full_schedule
+
     if args.oracle_hex is not None:
         orc = from_hex(args.n, args.oracle_hex)
     elif args.t is not None:
@@ -144,6 +175,10 @@ def _cmd_distinguish(args, stdout) -> int:
 
 
 def _cmd_randomized(args, stdout) -> int:
+    import numpy as np
+
+    from .oracle import MAX_VARIABLES
+
     if args.trials < 1:
         raise ParameterError(f"trials must be >= 1, got {args.trials}")
     if not 1 <= args.n <= MAX_VARIABLES:
@@ -170,9 +205,7 @@ def _cmd_randomized(args, stdout) -> int:
 
 
 def _cmd_sure_success(args, stdout) -> int:
-    if args.n < 1:
-        raise ParameterError(f"n must be >= 1, got {args.n}")
-    size = 1 << args.n
+    size = _domain_size(args.n)
     fractions = [_parse_fraction(text) for text in args.w]
     rows = []
     for frac in fractions:
@@ -204,9 +237,14 @@ def _cmd_sure_success(args, stdout) -> int:
 
 
 def _cmd_classical(args, stdout) -> int:
+    import numpy as np
+
+    from . import classical
+    from .oracle import make_random_oracle
+
     if args.trials < 0:
         raise ParameterError(f"trials must be >= 0, got {args.trials}")
-    size = 1 << args.n
+    size = _domain_size(args.n)
     rows = []
     rng = np.random.default_rng(args.seed)
     exponents = args.exponent or [1.0, 2.0, 3.0]
@@ -231,7 +269,7 @@ def _cmd_classical(args, stdout) -> int:
 
 
 def _cmd_counting(args, stdout) -> int:
-    size = 1 << args.n
+    size = _domain_size(args.n)
     t = float(args.t)
     dist = counting.counting_distribution(t, size, args.P)
     rows = [(f_tilde, float(p)) for f_tilde, p in enumerate(dist)]
@@ -272,7 +310,11 @@ def _cmd_counting_plan(args, stdout) -> int:
 
 
 def _cmd_compare(args, stdout) -> int:
-    ks = args.k if args.k else list(range(1, args.k_max + 1))
+    if args.k:
+        ks = args.k
+    else:
+        _check_rows(args.k_max, f"k_max = {args.k_max}")
+        ks = list(range(1, args.k_max + 1))
     rows = []
     for k in ks:
         dec_calls, cnt_calls, ratio = counting.cost_comparison(k)
@@ -285,6 +327,8 @@ def _cmd_compare(args, stdout) -> int:
 
 
 def _cmd_selftest(args, stdout) -> int:
+    from . import acceptance
+
     numbers = args.criteria if args.criteria else None
     results = acceptance.run_all(numbers)
     for result in results:

@@ -17,12 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .decision import DecisionOutcome
 from .errors import ParameterError, PlanningError, PromiseViolationError
-from .oracle import BooleanOracle, round_weight
+from .subspace import round_weight
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .oracle import BooleanOracle
 
 SUPPORT_TOL = 1e-12
 MAX_P = 10**6  # compute budget of the register: P points per distribution
@@ -75,6 +79,8 @@ class CountingPlan:
 
 def _dirichlet_kernel(x: np.ndarray, points: int) -> np.ndarray:
     """|sum_m e^{imx}|^2 / P^2 with the removable singularity filled in."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     mod = np.mod(x, 2.0 * math.pi)
     near = (mod < 1e-12) | ((2.0 * math.pi - mod) < 1e-12)
@@ -83,16 +89,27 @@ def _dirichlet_kernel(x: np.ndarray, points: int) -> np.ndarray:
     return np.where(near, 1.0, value)
 
 
+def _kernel_at(x: float, points: int) -> float:
+    """_dirichlet_kernel at one point in math: the same operations, in order."""
+    mod = x % (2.0 * math.pi)
+    if mod < 1e-12 or 2.0 * math.pi - mod < 1e-12:
+        return 1.0
+    return math.sin(points * x / 2.0) ** 2 / (points * math.sin(x / 2.0)) ** 2
+
+
 def _check_register(points: int) -> None:
     if points > MAX_P:
         raise ParameterError(f"register size P = {points} exceeds the compute budget MAX_P = {MAX_P}")
 
 
-def _register_probabilities(u: float, values: np.ndarray, points: int) -> np.ndarray:
-    """Probabilities of the given register values for weight fraction u."""
+def _register_probabilities(u: float, values, points: int, kernel=_dirichlet_kernel):
+    """Probabilities of the given register values for weight fraction u.
+
+    values is an array with the default kernel, one int with _kernel_at.
+    """
     omega = 2.0 * math.asin(math.sqrt(u))
     xs = 2.0 * math.pi * values / points
-    return 0.5 * (_dirichlet_kernel(xs + omega, points) + _dirichlet_kernel(xs - omega, points))
+    return 0.5 * (kernel(xs + omega, points) + kernel(xs - omega, points))
 
 
 def phase_distribution(u: float, points: int) -> np.ndarray:
@@ -102,6 +119,8 @@ def phase_distribution(u: float, points: int) -> np.ndarray:
     _check_register(points)
     if not 0.0 <= u <= 1.0:
         raise ParameterError(f"weight fraction {u} outside [0, 1]")
+    import numpy as np
+
     return _register_probabilities(u, np.arange(points), points)
 
 
@@ -212,10 +231,9 @@ def hypothesis_success_probability(plan: CountingPlan, index: int) -> float:
     target = min(hyp.k, plan.P - hyp.k)
     # The register values that fold to target: target itself and, unless
     # target = P/2, its mirror P - target (summed in ascending order).
-    target_mass, mirror_mass = _register_probabilities(hyp.weight, np.array([target, plan.P - target]), plan.P)
-    mass = float(target_mass)
+    mass = _register_probabilities(hyp.weight, target, plan.P, _kernel_at)
     if target < plan.P / 2:
-        mass += float(mirror_mass)
+        mass += _register_probabilities(hyp.weight, plan.P - target, plan.P, _kernel_at)
     return mass
 
 

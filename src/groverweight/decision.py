@@ -12,13 +12,16 @@ run costs k + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import subspace
 from .errors import ParameterError, PromiseViolationError
-from .oracle import BooleanOracle, round_weight
-from .statevector import measure_distribution, run_full_schedule
+from .subspace import round_weight
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .oracle import BooleanOracle
 
 SUPPORT_TOL = 1e-12
 
@@ -118,6 +121,10 @@ def distinguish_quarter(oracle: BooleanOracle, rng: np.random.Generator | None =
     distribution with support in both classes contradicts both
     hypotheses and raises.
     """
+    import numpy as np
+
+    from .statevector import measure_distribution, run_full_schedule
+
     size = oracle.size
     if size % 4 != 0:
         raise ParameterError("domain size must be divisible by 4")
@@ -194,8 +201,12 @@ def exact_success_probability(k: int, t: int, size: int) -> float:
 
 
 def theorem_bound(k: int, size: int) -> float:
-    """Guaranteed success lower bound 1 - 64 (k+1)^2 / N^2."""
-    return 1.0 - 64.0 * (k + 1) ** 2 / size**2
+    """Guaranteed success lower bound max(0, 1 - 64 (k+1)^2 / N^2).
+
+    Clamped at 0: where 8(k+1) > N the expression is negative, and a
+    vacuous bound on a probability is 0, not a negative number.
+    """
+    return max(0.0, 1.0 - 64.0 * (k + 1) ** 2 / size**2)
 
 
 def empirical_success_count(

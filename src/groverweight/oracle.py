@@ -6,13 +6,13 @@ x (bit i of x is variable number i+1).  The weight t is the number of ones.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, WeightOutOfRangeError
+from .subspace import round_weight  # noqa: F401  (re-exported; defined without numpy)
 
 MAX_VARIABLES = 24
 
@@ -112,10 +112,3 @@ def make_random_oracle(n: int, t: int, seed: int) -> BooleanOracle:
     bits = np.full(size, invert, dtype=np.uint8)
     bits[rng.choice(size, pick, replace=False, shuffle=False)] = not invert
     return BooleanOracle(n=n, bits=bits, t=t)
-
-
-def round_weight(w: float, size: int) -> int:
-    """Nearest integer to size*w; exact half-integers round half-up."""
-    if not 0.0 < w < 1.0:
-        raise ParameterError(f"weight fraction must lie in (0, 1), got {w}")
-    return int(math.floor(size * w + 0.5))

@@ -21,8 +21,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateSubspaceError, ParameterError
 
 NORM_TOL = 1e-9
@@ -103,6 +101,13 @@ def hilbert_angle(u: float) -> float:
     return math.asin(math.sqrt(u))
 
 
+def round_weight(w: float, size: int) -> int:
+    """Nearest integer to size*w; exact half-integers round half-up."""
+    if not 0.0 < w < 1.0:
+        raise ParameterError(f"weight fraction must lie in (0, 1), got {w}")
+    return int(math.floor(size * w + 0.5))
+
+
 def _step(c: float, s: float, c_ns: complex, c_sol: complex, theta: float, phi: float):
     """One -I_{psi0}(theta) . I_{sol}(phi) on the pair (c_ns, c_sol).
 
@@ -115,7 +120,7 @@ def _step(c: float, s: float, c_ns: complex, c_sol: complex, theta: float, phi: 
     return overlap * c - c_ns, overlap * s - c_sol
 
 
-def evolve(u: float, steps) -> np.ndarray:
+def evolve(u: float, steps) -> tuple[complex, complex]:
     """Run a phase schedule from the uniform state at weight fraction u.
 
     Low-level path shared by integer-weight and real-fraction callers;
@@ -132,7 +137,7 @@ def evolve(u: float, steps) -> np.ndarray:
     c, s = math.cos(beta), math.sin(beta)
     for theta, phi in tail:
         c_ns, c_sol = _step(c, s, c_ns, c_sol, theta, phi)
-    return np.array([c_ns, c_sol], dtype=complex)
+    return c_ns, c_sol
 
 
 def run_schedule(t: int, size: int, schedule: PhaseSchedule | tuple) -> SubspaceState:
@@ -146,8 +151,8 @@ def run_schedule(t: int, size: int, schedule: PhaseSchedule | tuple) -> Subspace
         raise DegenerateSubspaceError(
             f"t = {t} of N = {size}: no two-dimensional invariant plane"
         )
-    vec = evolve(t / size, schedule)
-    return SubspaceState(c_ns=vec[0], c_sol=vec[1], t=t, size=size)
+    c_ns, c_sol = evolve(t / size, schedule)
+    return SubspaceState(c_ns=c_ns, c_sol=c_sol, t=t, size=size)
 
 
 def recurrence_amplitudes(k: int, u: float) -> tuple[float, float]:
@@ -194,7 +199,7 @@ def bloch_from_state(state: SubspaceState) -> BlochVector:
 
     The uniform state maps to (sin beta_B, 0, -cos beta_B).
     """
-    cross = np.conj(state.c_ns) * state.c_sol
+    cross = state.c_ns.conjugate() * state.c_sol
     return BlochVector(
         x=2.0 * cross.real,
         y=2.0 * cross.imag,

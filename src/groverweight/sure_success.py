@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import subspace
 from .errors import (
@@ -33,8 +32,12 @@ from .errors import (
 )
 from .decision import DecisionOutcome, class_probabilities, correct_probability, run_and_infer
 from .decision import small_bit
-from .oracle import BooleanOracle, round_weight
-from .subspace import BlochVector, PhaseSchedule
+from .subspace import BlochVector, PhaseSchedule, round_weight
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .oracle import BooleanOracle
 
 POLE_TOL = 1e-9
 # Floors of the phase-cosine tolerances; _cos_tolerance raises them with k.
@@ -244,6 +247,8 @@ def bracket(k: int) -> tuple[float, float]:
 
 def rotate(vector: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     """Right-handed Rodrigues rotation of a 3-vector about a unit axis."""
+    import numpy as np
+
     axis = np.asarray(axis, dtype=float)
     vector = np.asarray(vector, dtype=float)
     cos_a, sin_a = math.cos(angle), math.sin(angle)
@@ -261,6 +266,8 @@ def run_schedule_bloch(beta: float, schedule) -> np.ndarray:
     phi about the solution pole followed by a rotation by theta about this
     hypothesis's uniform-state axis (global phase discarded).
     """
+    import numpy as np
+
     psi0_axis = np.array([math.sin(beta), 0.0, -math.cos(beta)])
     z_axis = np.array([0.0, 0.0, 1.0])
     vec = psi0_axis.copy()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groverweight import __version__, acceptance, classical, cli, counting, decision, oracle, subspace
+from groverweight import __version__, acceptance, classical, cli, counting, decision, oracle, subspace, sure_success
 
 
 def run_cli(argv):
@@ -217,7 +217,8 @@ def test_counting_refuses_registers_over_budget(monkeypatch, argv):
     def no_register(*args, **kwargs):
         raise AssertionError("register values built before the budget was checked")
 
-    monkeypatch.setattr(counting.np, "arange", no_register)
+    # counting imports numpy inside the functions that build arrays
+    monkeypatch.setattr(np, "arange", no_register)
     code, text = run_cli(argv)
     assert code == 1
     assert text.startswith("parameter error: register size P = ")
@@ -234,6 +235,101 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+NUMPY_FREE_PROBE = """
+import io, sys
+from groverweight import cli
+loaded = ["import"] if "numpy" in sys.modules else []
+report = sys.argv[1]
+for argv in (
+    ["mu", "--k-max", "10"],
+    ["roots", "--k", "10"],
+    ["compare", "--k-max", "10"],
+    ["sure-success", "--n", "5", "--w", "11/32"],
+    ["sure-success", "--n", "5", "--w", "11/32", "--w", "1/3", "--format", "json"],
+    ["counting", "plan", "--weights", "5", "10/3"],
+    ["counting-plan", "--weights", "7", "--multiplier", "3"],
+    ["mu", "--k-max", "10", "--out", report],
+    ["--verify", report],
+):
+    assert cli.run(argv, io.StringIO()) == 0, argv
+    if "numpy" in sys.modules:
+        loaded.append(" ".join(argv))
+print(loaded)
+"""
+
+
+def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_PROBE, str(tmp_path / "mu.csv")],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves_lazily():
+    import groverweight
+
+    for name in groverweight.__all__:
+        value = groverweight.__getattr__(name)
+        if name in groverweight._SUBMODULES:
+            assert value is sys.modules[f"groverweight.{name}"]
+        else:
+            assert value is getattr(sys.modules[f"groverweight.{groverweight._SOURCE[name]}"], name)
+    assert set(groverweight.__all__) <= set(dir(groverweight))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        groverweight.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["roots", "--k", "100000000"], "k = 100000000 needs 200000000 rows, over the budget MAX_ROWS = 1000000"),
+        (["mu", "--k-max", "100000000"], "k_max = 100000000 needs 100000000 rows, over the budget MAX_ROWS = 1000000"),
+        (["compare", "--k-max", "100000000"], "k_max = 100000000 needs 100000000 rows, over the budget MAX_ROWS = 1000000"),
+        (["sure-success", "--n", "2000", "--w", "1/3"], "n = 2000 exceeds the budget MAX_N = 1023: 2^n overflows a float"),
+        (["counting", "--t", "8", "--n", "2000", "--P", "8"], "n = 2000 exceeds the budget MAX_N = 1023: 2^n overflows a float"),
+        (["classical", "--k", "5", "--n", "2000"], "n = 2000 exceeds the budget MAX_N = 1023: 2^n overflows a float"),
+    ],
+    ids=["roots", "mu", "compare", "sure-success", "counting", "classical"],
+)
+def test_oversized_inputs_are_refused_before_any_row(monkeypatch, argv, message):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was computed before the budget was checked")
+
+    for module, name in (
+        (subspace, "roots"),
+        (subspace, "mu"),
+        (sure_success, "plan_for_weight"),
+        (counting, "cost_comparison"),
+        (counting, "counting_distribution"),
+        (classical, "error_probability"),
+    ):
+        monkeypatch.setattr(module, name, no_row)
+    assert run_cli(argv) == (1, f"parameter error: {message}\n")
+
+
+def test_budgets_admit_their_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ROWS", 10)
+    assert run_cli(["mu", "--k-max", "10"])[0] == 0
+    assert run_cli(["compare", "--k-max", "10"])[0] == 0
+    assert run_cli(["roots", "--k", "5"])[0] == 0
+    for argv in (["mu", "--k-max", "11"], ["compare", "--k-max", "11"], ["roots", "--k", "6"]):
+        assert run_cli(argv)[0] == 1
+    code, text = run_cli(["sure-success", "--n", str(cli.MAX_N), "--w", "1/3", "--format", "json"])
+    assert code == 0 and json.loads(text)["metadata"]["n"] == "1023"
+
+
+def test_randomized_prints_a_clamped_bound_at_small_n():
+    code, text = run_cli(["randomized", "--n", "3", "--k", "5"])
+    assert code == 0
+    _, header, rows = parse_report(text)
+    assert [row[header.index("bound_p")] for row in rows] == ["0", "0"]
 
 
 def test_selftest_subset_passes():
@@ -308,7 +404,7 @@ def test_randomized_rejects_non_positive_trials(monkeypatch, trials):
     def no_oracle(*args, **kwargs):
         raise AssertionError("oracle built before the trial count was checked")
 
-    monkeypatch.setattr(cli, "make_random_oracle", no_oracle)
+    monkeypatch.setattr(oracle, "make_random_oracle", no_oracle)
     code, text = run_cli(["randomized", "--n", "8", "--k", "2", "--trials", trials, "--seed", "0"])
     assert code == 1
     assert text.startswith("parameter error: trials")
@@ -318,7 +414,6 @@ def test_randomized_builds_no_truth_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("randomized built a truth table")
 
-    monkeypatch.setattr(cli, "make_random_oracle", no_table)
     monkeypatch.setattr(oracle, "make_random_oracle", no_table)
     code, text = run_cli(["randomized", "--n", "24", "--k", "5"])
     assert code == 0 and parse_report(text)[0]["n"] == "24"

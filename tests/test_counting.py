@@ -201,7 +201,8 @@ def test_register_budget_is_checked_before_any_register_array(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("register values built before the budget was checked")
 
-    monkeypatch.setattr(counting.np, "arange", refuse)
+    # counting imports numpy inside the functions that build arrays
+    monkeypatch.setattr(np, "arange", refuse)
     with pytest.raises(ParameterError, match="MAX_P"):
         counting.phase_distribution(0.25, counting.MAX_P + 1)
     with pytest.raises(ParameterError, match="MAX_P"):

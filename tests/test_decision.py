@@ -107,6 +107,16 @@ def test_success_bound_holds_across_sizes_and_iterations():
                 assert decision.exact_success_probability(k, t, size) >= bound
 
 
+def test_vacuous_bound_is_clamped_at_zero():
+    # 1 - 64 (k+1)^2 / N^2 is -35 at k = 5, N = 8; only negative values change
+    assert decision.theorem_bound(5, 8) == 0.0
+    assert decision.theorem_bound(1, 16) == 0.0  # exactly zero at 8(k+1) = N
+    assert decision.theorem_bound(1, 32) == 0.75
+    for n in range(1, 13):
+        for k in range(1, 40):
+            assert 0.0 <= decision.theorem_bound(k, 1 << n) < 1.0
+
+
 def test_empirical_rate_agrees_with_exact():
     n, k = 12, 5
     size = 1 << n

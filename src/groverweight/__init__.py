@@ -10,7 +10,7 @@ a closed-form module such as `subspace`, does not import numpy.
 """
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # Public names by the submodule that defines them.
 _EXPORTS = {

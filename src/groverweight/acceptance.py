@@ -207,10 +207,6 @@ def _criterion_6() -> tuple[bool, str]:
 
 def _criterion_7() -> tuple[bool, str]:
     """Majority-vote regimes: g = k, k^2 and k^3 behave as proved."""
-    # error_probability defers this import; paying it here keeps it out of
-    # the criterion's time and `import groverweight.cli` free of scipy.
-    import scipy.special  # noqa: F401
-
     start = time.perf_counter()
     e_linear = classical.error_probability(101, 101)
     e_quad = classical.error_probability(201, 201**2)

@@ -13,10 +13,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
-from . import __version__, counting, decision, subspace, sure_success
+from . import __version__, classical, counting, decision, subspace, sure_success
 from .errors import (
     GroverWeightError,
     ParameterError,
@@ -24,9 +25,9 @@ from .errors import (
 )
 from .subspace import round_weight
 
-# numpy is imported inside the commands that use it (scipy only inside
-# classical.error_probability), so that roots, mu, compare, sure-success,
-# counting plan and --verify start without either.
+# numpy is imported inside the commands that use it, so that roots, mu,
+# compare, sure-success, counting plan, --verify and classical without
+# --trials start without it.
 #
 # Budgets, checked before anything of their size is built: the rows of a
 # closed-form table (roots, mu, compare) and the n of the commands that
@@ -78,11 +79,14 @@ class Report:
         fh.write("\n")
 
     def emit(self, out: str | None, fmt: str, stdout) -> None:
+        write = self.write_csv if fmt == "csv" else self.write_json
         if out is None:
-            self.write_csv(stdout) if fmt == "csv" else self.write_json(stdout)
-            return
-        with open(out, "w", encoding="utf-8") as fh:
-            self.write_csv(fh) if fmt == "csv" else self.write_json(fh)
+            return write(stdout)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                write(fh)
+        except OSError as exc:  # name the file: errors of write and close carry no name
+            raise OSError(exc.errno, exc.strerror, out) from None
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -98,6 +102,13 @@ def _parse_fraction(text: str) -> Fraction:
 def _check_rows(rows: int, what: str) -> None:
     if rows > MAX_ROWS:
         raise ParameterError(f"{what} needs {rows} rows, over the budget MAX_ROWS = {MAX_ROWS}")
+
+
+def _k_range(k_max: int) -> list[int]:
+    if k_max < 1:
+        raise ParameterError(f"k_max must be >= 1, got {k_max}")
+    _check_rows(k_max, f"k_max = {k_max}")
+    return list(range(1, k_max + 1))
 
 
 def _domain_size(n: int) -> int:
@@ -121,11 +132,7 @@ def _cmd_roots(args, stdout) -> int:
 
 
 def _cmd_mu(args, stdout) -> int:
-    if args.k is not None:
-        ks = [args.k]
-    else:
-        _check_rows(args.k_max, f"k_max = {args.k_max}")
-        ks = list(range(1, args.k_max + 1))
+    ks = [args.k] if args.k is not None else _k_range(args.k_max)
     rows = [(k, subspace.mu(k)) for k in ks]
     Report("mu", {"k_max": max(ks)}, ["k", "mu"], rows).emit(args.out, args.format, stdout)
     return 0
@@ -147,13 +154,12 @@ def _cmd_distinguish(args, stdout) -> int:
     if args.dump_distribution is not None:
         sv = run_full_schedule(orc, subspace.PhaseSchedule.standard(1))
         dist_rows = [(x, float(p)) for x, p in enumerate(measure_distribution(sv))]
-        with open(args.dump_distribution, "w", encoding="utf-8") as fh:
-            Report(
-                "distinguish-distribution",
-                {"n": args.n, "t": orc.t, "oracle": orc.to_hex()},
-                ["index", "probability"],
-                dist_rows,
-            ).write_csv(fh)
+        Report(
+            "distinguish-distribution",
+            {"n": args.n, "t": orc.t, "oracle": orc.to_hex()},
+            ["index", "probability"],
+            dist_rows,
+        ).emit(args.dump_distribution, "csv", stdout)
     rows = [
         (
             args.n,
@@ -237,27 +243,23 @@ def _cmd_sure_success(args, stdout) -> int:
 
 
 def _cmd_classical(args, stdout) -> int:
-    import numpy as np
-
-    from . import classical
-    from .oracle import make_random_oracle
-
     if args.trials < 0:
         raise ParameterError(f"trials must be >= 0, got {args.trials}")
     size = _domain_size(args.n)
     rows = []
-    rng = np.random.default_rng(args.seed)
+    if args.trials > 0:
+        import numpy as np
+
+        rng = np.random.default_rng(args.seed)
     exponents = args.exponent or [1.0, 2.0, 3.0]
     for k in args.k:
         pair = decision.PromisePair.for_iterations(k, size)
         gs = args.g if args.g else [classical.nearest_odd(float(k) ** s) for s in exponents]
         for g in gs:
             exact = classical.error_probability(k, g)
+            empirical = math.nan
             if args.trials > 0:
-                oracle = make_random_oracle(args.n, pair.t_small, seed=args.seed)
-                empirical = classical.empirical_error_rate(oracle, g, args.trials, rng, pair)
-            else:
-                empirical = math.nan
+                empirical = classical.empirical_error_rate(pair.t_small, g, args.trials, rng, pair)
             rows.append((k, g, classical.single_query_accuracy(k), exact, empirical, args.trials))
     Report(
         "classical",
@@ -310,11 +312,7 @@ def _cmd_counting_plan(args, stdout) -> int:
 
 
 def _cmd_compare(args, stdout) -> int:
-    if args.k:
-        ks = args.k
-    else:
-        _check_rows(args.k_max, f"k_max = {args.k_max}")
-        ks = list(range(1, args.k_max + 1))
+    ks = args.k or _k_range(args.k_max)
     rows = []
     for k in ks:
         dec_calls, cnt_calls, ratio = counting.cost_comparison(k)
@@ -428,9 +426,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classical", help="majority-vote baseline error rates")
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--k", type=int, action="append", required=True)
-    p.add_argument("--g", type=int, action="append", help="explicit odd query counts")
-    p.add_argument("--exponent", type=float, action="append", default=None,
-                   help="use g = nearest odd k^s instead of --g")
+    queries = p.add_mutually_exclusive_group()
+    queries.add_argument("--g", type=int, action="append", help="explicit odd query counts")
+    queries.add_argument("--exponent", type=float, action="append", default=None,
+                         help="use g = nearest odd k^s instead of --g")
     p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = exact only)")
     p.add_argument("--seed", type=int, default=0)
     _add_report_args(p)
@@ -503,13 +502,23 @@ def run(argv, stdout=None) -> int:
     except (ValueError, IndexError) as exc:
         stdout.write(f"parameter error: {exc}\n")
         return 1
+    except BrokenPipeError:  # the report's reader has gone: nothing more to write
+        return 1
     except OSError as exc:  # --out or --dump-distribution cannot be written
+        if exc.filename is None:
+            raise
         stdout.write(f"cannot write {exc.filename}: {exc.strerror}\n")
         return 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # so that the flush at exit does not fail on it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

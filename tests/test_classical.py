@@ -6,7 +6,6 @@ from scipy import stats
 
 from groverweight import classical, decision
 from groverweight.errors import ParameterError
-from groverweight.oracle import make_random_oracle
 
 
 def test_single_step_error_is_exact():
@@ -22,6 +21,26 @@ def test_error_probability_matches_scipy_binomial_cdf():
             ours = classical.error_probability(k, g)
             reference = stats.binom.cdf((g - 1) // 2, g, p)
             assert ours == pytest.approx(reference, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "k, g", [(766342, 766343), (1000, 999999), (999, 998001), (99, 970299), (51, 132651), (300, 90001)]
+)
+def test_error_probability_matches_40_digit_sum(k, g):
+    # independent precision: the window below the top term summed at 40 digits,
+    # from the same double p, down to terms 1e-30 of the sum
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = mpmath.mpf(classical.single_query_accuracy(k))
+        q = 1 - p
+        i = (g - 1) // 2
+        term = total = mpmath.binomial(g, i) * p**i * q ** (g - i)
+        while i > 0 and term > total * mpmath.mpf(10) ** -30:
+            term *= mpmath.mpf(i) / (g - i + 1) * q / p
+            total += term
+            i -= 1
+        reference = float(total)
+    assert classical.error_probability(k, g) == pytest.approx(reference, rel=1e-9)
 
 
 def test_even_query_counts_rejected():
@@ -55,23 +74,21 @@ def test_majority_vote_trial_basics():
     constants = decision.PromisePair(size=size, t_small=0, t_big=size, k=1)
     rng = np.random.default_rng(0)
     for t in (0, size):
-        orc = make_random_oracle(6, t, seed=0)
         for g in (1, 3, 9):
-            assert classical.empirical_error_rate(orc, g, 50, rng, constants) == 0.0
+            assert classical.empirical_error_rate(t, g, 50, rng, constants) == 0.0
     with pytest.raises(ParameterError):
-        classical.empirical_error_rate(orc, 2, 50, rng, constants)
+        classical.empirical_error_rate(t, 2, 50, rng, constants)
     with pytest.raises(ParameterError):
-        classical.empirical_error_rate(orc, 3, 0, rng, constants)
+        classical.empirical_error_rate(t, 3, 0, rng, constants)
 
 
 def test_single_query_vote_on_near_constant_oracle():
     # weight 1 vs N - 1: a single query errs exactly when it hits the one solution
     n = 6
     size = 1 << n
-    orc = make_random_oracle(n, 1, seed=1)
     pair = decision.PromisePair(size=size, t_small=1, t_big=size - 1, k=1)
     trials = 20_000
-    rate = classical.empirical_error_rate(orc, 1, trials, np.random.default_rng(7), pair)
+    rate = classical.empirical_error_rate(1, 1, trials, np.random.default_rng(7), pair)
     expect = 1 / size
     sigma = math.sqrt(expect * (1 - expect) / trials)
     assert abs(rate - expect) <= 4 * sigma
@@ -81,9 +98,8 @@ def test_empirical_error_matches_exact_formula():
     n, k, g = 12, 3, 3
     size = 1 << n
     pair = decision.PromisePair.for_iterations(k, size)
-    orc = make_random_oracle(n, pair.t_small, seed=2)
     trials = 100_000
-    rate = classical.empirical_error_rate(orc, g, trials, np.random.default_rng(3), pair)
+    rate = classical.empirical_error_rate(pair.t_small, g, trials, np.random.default_rng(3), pair)
     # the rounded weight shifts the per-query accuracy by at most 0.5/N
     exact = classical.error_probability(k, g)
     sigma = math.sqrt(exact * (1 - exact) / trials)

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -118,6 +119,58 @@ def test_unwritable_output_is_one_error_line(tmp_path):
         assert run_cli(argv) == (1, f"cannot write {target}: No such file or directory\n"), argv
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses writes")
+def test_failed_write_to_a_report_file_names_the_file():
+    # open succeeds and the write fails, so the error carries no file name of its own
+    for argv in (
+        ["mu", "--k-max", "5", "--out", "/dev/full"],
+        ["distinguish", "--n", "4", "--t", "4", "--dump-distribution", "/dev/full"],
+    ):
+        assert run_cli(argv) == (1, "cannot write /dev/full: No space left on device\n"), argv
+
+
+class _ClosedStream(io.StringIO):
+    """A report stream whose every write fails with the given error."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error, self.writes = error, 0
+
+    def write(self, text):
+        self.writes += 1
+        raise self.error
+
+
+def test_closed_report_stream_ends_the_run_quietly():
+    stream = _ClosedStream(BrokenPipeError(errno.EPIPE, "Broken pipe"))
+    assert cli.run(["mu", "--k-max", "5"], stdout=stream) == 1
+    assert stream.writes == 1  # no "cannot write" line after the failed one
+    # only errors that name a file are reported as "cannot write <file>"
+    stream = _ClosedStream(OSError(errno.ENOSPC, "No space left on device"))
+    with pytest.raises(OSError, match="No space left"):
+        cli.run(["mu", "--k-max", "5"], stdout=stream)
+    assert stream.writes == 1
+
+
+def test_pipe_closed_after_one_line_exits_1_without_traceback(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    with open(tmp_path / "stderr", "w+b") as err:
+        # about 2 MB of rows, far more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "groverweight.cli", "mu", "--k-max", "100000"],
+            env={"PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        stderr = err.read().decode()
+    assert first == b"# command = mu\n"
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
+
 def test_verify_rejects_garbage(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("not,a,report\n1,2\n")
@@ -188,6 +241,7 @@ def test_exit_code_indistinguishable_weight():
         ["randomized", "--n", "4", "--k", "2", "--trials", "10", "--threads", "2"],
         ["selftest", "--criteria", "3", "--out", "report.csv"],
         ["selftest", "--criteria", "3", "--format", "json"],
+        ["classical", "--k", "5", "--g", "25", "--exponent", "2"],
     ],
 )
 def test_options_without_effect_are_usage_errors(argv):
@@ -199,8 +253,8 @@ def test_classical_refuses_g_over_budget(monkeypatch):
     def no_tail(*args, **kwargs):
         raise AssertionError("tail terms built before the budget was checked")
 
-    # np.arange builds the terms; the budget check must come first.
-    monkeypatch.setattr(classical.np, "arange", no_tail)
+    # _vote_error builds the terms; the budget check must come first.
+    monkeypatch.setattr(classical, "_vote_error", no_tail)
     code, text = run_cli(["classical", "--k", "3", "--g", "1000001"])
     assert code == 1
     assert text.startswith("parameter error: g = 1000001")
@@ -237,6 +291,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_no_source_file_imports_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    importers = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if re.search(r"^\s*(import|from)\s+scipy\b", path.read_text(encoding="utf-8"), re.M)
+    ]
+    assert importers == []
+
+
 NUMPY_FREE_PROBE = """
 import io, sys
 from groverweight import cli
@@ -250,6 +314,7 @@ for argv in (
     ["sure-success", "--n", "5", "--w", "11/32", "--w", "1/3", "--format", "json"],
     ["counting", "plan", "--weights", "5", "10/3"],
     ["counting-plan", "--weights", "7", "--multiplier", "3"],
+    ["classical", "--k", "51", "--exponent", "1", "--exponent", "2", "--n", "12"],
     ["mu", "--k-max", "10", "--out", report],
     ["--verify", report],
 ):
@@ -295,8 +360,11 @@ def test_every_exported_name_resolves_lazily():
         (["sure-success", "--n", "2000", "--w", "1/3"], "n = 2000 exceeds the budget MAX_N = 1023: 2^n overflows a float"),
         (["counting", "--t", "8", "--n", "2000", "--P", "8"], "n = 2000 exceeds the budget MAX_N = 1023: 2^n overflows a float"),
         (["classical", "--k", "5", "--n", "2000"], "n = 2000 exceeds the budget MAX_N = 1023: 2^n overflows a float"),
+        (["mu", "--k-max", "0"], "k_max must be >= 1, got 0"),
+        (["compare", "--k-max", "0"], "k_max must be >= 1, got 0"),
+        (["compare", "--k-max", "-3"], "k_max must be >= 1, got -3"),
     ],
-    ids=["roots", "mu", "compare", "sure-success", "counting", "classical"],
+    ids=["roots", "mu", "compare", "sure-success", "counting", "classical", "mu-0", "compare-0", "compare-negative"],
 )
 def test_oversized_inputs_are_refused_before_any_row(monkeypatch, argv, message):
     def no_row(*args, **kwargs):
@@ -323,6 +391,15 @@ def test_budgets_admit_their_boundary(monkeypatch):
         assert run_cli(argv)[0] == 1
     code, text = run_cli(["sure-success", "--n", str(cli.MAX_N), "--w", "1/3", "--format", "json"])
     assert code == 0 and json.loads(text)["metadata"]["n"] == "1023"
+
+
+def test_classical_trials_build_no_table_so_n_may_pass_24():
+    code, text = run_cli(["classical", "--k", "3", "--g", "3", "--n", "30", "--trials", "10"])
+    assert code == 0
+    _, header, rows = parse_report(text)
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    wrong = float(rows[0][header.index("E_empirical")]) * 10
+    assert wrong == round(wrong) and 0 <= wrong <= 10
 
 
 def test_randomized_prints_a_clamped_bound_at_small_n():
